@@ -1,30 +1,26 @@
 """Build script for the optional compiled solver core.
 
-The package runs fine without the extension (a pure-Python fallback is
-selected at import).  To build the fast lane in place:
+The extension is compiled from the generated C source that ships with the
+package, so a C compiler is the only build requirement:
 
     python setup.py build_ext --inplace
 
-Cython and a C compiler are required only for this step.
+Without a compiler the build warns and the package falls back to the pure
+Python kernels at import.  Cython is needed only to regenerate the C source
+after editing the ``.pyx`` file (the test suite fails while the two differ):
+
+    cython src/toursplit/_core.pyx
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "toursplit._core",
-                ["src/toursplit/_core.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "toursplit._core",
+            ["src/toursplit/_core.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

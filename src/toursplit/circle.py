@@ -33,12 +33,6 @@ class CirclePointSet:
     n: int
     points: tuple[Point, ...]
 
-    def point(self, i: int) -> Point:
-        """1-based accessor for p_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index must be in 1..{self.n}, got {i}")
-        return self.points[i - 1]
-
     def instance(self) -> Instance:
         return Instance(self.points)
 
@@ -51,25 +45,6 @@ def circle_points(n: int) -> CirclePointSet:
         for i in range(1, n + 1)
     )
     return CirclePointSet(n, pts)
-
-
-@dataclass(frozen=True)
-class ArcSubset:
-    """``size`` consecutive points of the n-point circle, starting at ``start``."""
-
-    n: int
-    start: int
-    size: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.start <= self.n:
-            raise ValueError("start index out of range")
-        if not 1 <= self.size <= self.n:
-            raise ValueError("arc size out of range")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple((self.start - 1 + j) % self.n + 1 for j in range(self.size))
 
 
 def arc_tour_length(n: int, m: int) -> float:

@@ -5,7 +5,8 @@ guaranteed), ``bounds`` (ratio bounds CSV), ``circle`` (circle ratios and
 exhaustive verification), ``gen`` (seeded instances), ``plot`` (SVG).
 
 Exit codes: 0 ok, 2 input error, 3 capacity exceeded, 4 verification
-failure.  All randomness flows through the single --seed flag.
+failure (an exhaustive check, or a chord search that found no short
+diagonal).  All randomness flows through the single --seed flag.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .circle import (
 )
 from .exact import CapacityError, Instance, optimal_partition, optimal_tour
 from .geometry import ClosedTour, Point
-from .splitting import bounds_table, guaranteed_partition, split_plan
+from .splitting import ChordSearchError, bounds_table, guaranteed_partition, split_plan
 from .svgout import render_svg
 
 EXIT_OK = 0
@@ -307,7 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except VerificationError as exc:
+    except (VerificationError, ChordSearchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

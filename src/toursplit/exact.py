@@ -9,10 +9,10 @@ ties by the lexicographically smallest labelling so results are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 from . import kernels
-from .geometry import ClosedTour, Diagonal, Point
+from .geometry import ClosedTour, Diagonal, Point, PointInput, _as_points
 
 MAX_EXACT_POINTS = 18
 MAX_PARTITION_POINTS = 13
@@ -29,9 +29,7 @@ class Instance:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(
-            p if isinstance(p, Point) else Point(p[0], p[1]) for p in self.points
-        )
+        pts = _as_points(self.points)
         if not pts:
             raise ValueError("an instance needs at least one point")
         if len(set((p.x, p.y) for p in pts)) != len(pts):
@@ -39,12 +37,11 @@ class Instance:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_points(cls, points: Iterable[Union[Point, tuple]]) -> "Instance":
+    def from_points(cls, points: Iterable[PointInput]) -> "Instance":
         """Build an instance, dropping coincident duplicates (order kept)."""
         seen = set()
         keep = []
-        for p in points:
-            pt = p if isinstance(p, Point) else Point(p[0], p[1])
+        for pt in _as_points(points):
             key = (pt.x, pt.y)
             if key not in seen:
                 seen.add(key)
@@ -158,18 +155,3 @@ def speedup_ratio(instance: Instance, k: int) -> float:
     if tour.length == 0.0:
         raise ValueError("ratio undefined: optimal tour has zero length")
     return optimal_partition(instance, k).value / tour.length
-
-
-def block_tour(
-    points: Sequence[Union[Point, tuple]],
-    strategy: str = "exact",
-    inherited: Optional[ClosedTour] = None,
-) -> ClosedTour:
-    """Tour for one block: solved exactly, or an inherited tour passed through."""
-    if strategy == "exact":
-        return optimal_tour(Instance.from_points(points))
-    if strategy == "inherited":
-        if inherited is None:
-            raise ValueError("inherited strategy requires a tour")
-        return inherited
-    raise ValueError(f"unknown strategy: {strategy!r}")

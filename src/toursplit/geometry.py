@@ -26,6 +26,14 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+PointInput = Union[Point, tuple]
+
+
+def _as_points(points: Iterable[PointInput]) -> tuple[Point, ...]:
+    """The points as a tuple of Points; (x, y) pairs are converted."""
+    return tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in points)
+
+
 @dataclass(frozen=True)
 class Direction:
     """An undirected planar direction, stored as an angle in [0, pi)."""
@@ -72,9 +80,7 @@ class ClosedTour:
     _cum: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        verts = tuple(
-            v if isinstance(v, Point) else Point(v[0], v[1]) for v in self.vertices
-        )
+        verts = _as_points(self.vertices)
         if not verts:
             raise ValueError("a closed tour needs at least one vertex")
         cum = [0.0]
@@ -167,14 +173,11 @@ class Diagonal:
         return self.p.distance_to(self.q)
 
 
-PointInput = Union[Point, tuple]
 Widthable = Union[ClosedTour, Iterable[PointInput]]
 
 
-def _as_points(obj: Widthable) -> tuple[Point, ...]:
-    if isinstance(obj, ClosedTour):
-        return obj.vertices
-    pts = tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in obj)
+def _widthable_points(obj: Widthable) -> tuple[Point, ...]:
+    pts = obj.vertices if isinstance(obj, ClosedTour) else _as_points(obj)
     if not pts:
         raise ValueError("need at least one point")
     return pts
@@ -190,7 +193,7 @@ def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
     Duplicate points are dropped.  Collinear input reduces to the two
     extreme points; a single point is returned as is.
     """
-    pts = sorted(set((p.x, p.y) if isinstance(p, Point) else (p[0], p[1]) for p in points))
+    pts = sorted(set((p.x, p.y) for p in _as_points(points)))
     if not pts:
         raise ValueError("need at least one point")
     pts = [Point(x, y) for x, y in pts]
@@ -220,7 +223,7 @@ def directional_width(obj: Widthable, direction: Union[Direction, float]) -> flo
     """Extent of the projection onto the given direction."""
     theta = direction.theta if isinstance(direction, Direction) else float(direction)
     ux, uy = math.cos(theta), math.sin(theta)
-    projs = [p.x * ux + p.y * uy for p in _as_points(obj)]
+    projs = [p.x * ux + p.y * uy for p in _widthable_points(obj)]
     return max(projs) - min(projs)
 
 
@@ -230,7 +233,7 @@ def min_width(obj: Widthable) -> tuple[float, Direction]:
     The minimum of a convex polygon is attained with a support line flush
     with one of its edges, so only edge-normal directions are examined.
     """
-    hull = convex_hull(_as_points(obj))
+    hull = convex_hull(_widthable_points(obj))
     if len(hull) == 1:
         return 0.0, Direction(0.0)
     if len(hull) == 2:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .circle import circle_limit_ratio
 from .exact import MAX_EXACT_POINTS, Instance, Partition, SolveResult, optimal_tour
-from .geometry import ClosedTour, Diagonal, Point, min_width
+from .geometry import ClosedTour, Diagonal, Point, _as_points, min_width
 
 INV_PI = 1.0 / math.pi
 
@@ -126,12 +126,6 @@ def assign_points(
     return tuple(first), tuple(second)
 
 
-def _as_point_tuple(points: Union[Instance, Iterable[Point]]) -> tuple[Point, ...]:
-    if isinstance(points, Instance):
-        return points.points
-    return tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in points)
-
-
 def _split_at_arclength(
     tour: ClosedTour, points: Union[Instance, Iterable[Point]], x: float
 ) -> SplitResult:
@@ -141,7 +135,8 @@ def _split_at_arclength(
     # closing edge of each sub-tour is exactly the shared diagonal
     tour1 = ClosedTour(chain1.points)
     tour2 = ClosedTour(chain2.points)
-    points1, points2 = assign_points(tour, diagonal, _as_point_tuple(points))
+    pts = points.points if isinstance(points, Instance) else _as_points(points)
+    points1, points2 = assign_points(tour, diagonal, pts)
     return SplitResult(diagonal, tour1, tour2, points1, points2)
 
 
@@ -261,6 +256,10 @@ def split_plan(k: int) -> SplitPlan:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    # _plan(k) recurses through _plan(k - 1); filling the cache bottom-up
+    # keeps that recursion one level deep for any k.
+    for j in range(1, k):
+        _plan(j)
     node, label = _plan(k)
     return SplitPlan(node, label)
 
@@ -297,10 +296,13 @@ def guaranteed_partition(
     Each piece inherits its sub-tour from the recursive splitting, which is
     what the guarantee is proved for; ``reoptimize`` re-solves small blocks
     exactly afterwards, which can only shorten them.  Leaves that receive
-    no points are dropped from the result.
+    no points are dropped from the result, so a zero-length tour (a single
+    point) stays one block.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
+    if tour.length == 0.0:
+        return SolveResult(Partition((instance.points,)), (tour,), 0.0)
     leaves: list[tuple[tuple[Point, ...], ClosedTour]] = []
     diagonals: list[Diagonal] = []
 

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import brute_force_tour_length
 from toursplit import (
-    ArcSubset,
     Instance,
     VerificationError,
     arc_tour_length,
@@ -38,28 +37,9 @@ class TestCirclePoints:
         for p in circle_points(6).points:
             assert math.hypot(p.x, p.y) == pytest.approx(1.0)
 
-    def test_one_based_accessor(self):
-        ps = circle_points(5)
-        assert ps.point(1) == ps.points[0]
-        assert ps.point(5) == ps.points[4]
-        with pytest.raises(ValueError):
-            ps.point(0)
-
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             circle_points(1)
-
-
-class TestArcSubset:
-    def test_wraps_indices(self):
-        arc = ArcSubset(n=8, start=7, size=3)
-        assert arc.indices == (7, 8, 1)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            ArcSubset(n=8, start=0, size=3)
-        with pytest.raises(ValueError):
-            ArcSubset(n=8, start=1, size=9)
 
 
 class TestArcTourLength:

@@ -8,7 +8,7 @@ import pytest
 
 import toursplit.circle
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
-from toursplit import Point, VerificationError
+from toursplit import ChordSearchError, Point, VerificationError
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 
@@ -144,6 +144,23 @@ class TestSplit:
         assert doc["value"] == pytest.approx(
             max(b["length"] for b in doc["blocks"]), abs=1e-12
         )
+
+    def test_single_point_many_salespeople(self, tmp_path, capsys):
+        code, out = run(capsys, ["split", write(tmp_path, "one.txt", "2 3\n"), "-k", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] == 0
+        assert len(doc["blocks"]) == 1
+        assert doc["blocks"][0]["points"] == [[2.0, 3.0]]
+
+    def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        def explode(tour, x):
+            raise ChordSearchError("forced failure")
+
+        monkeypatch.setattr("toursplit.splitting.short_diagonal", explode)
+        code = main(["split", write(tmp_path, "sq.txt", SQUARE_TEXT), "-k", "2"])
+        assert code == 4
+        assert "verification failed: forced failure" in capsys.readouterr().err
 
 
 class TestBounds:

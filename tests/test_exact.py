@@ -13,10 +13,7 @@ from helpers import (
 )
 from toursplit import (
     CapacityError,
-    ClosedTour,
     Instance,
-    Point,
-    block_tour,
     optimal_partition,
     optimal_tour,
     speedup_ratio,
@@ -207,26 +204,3 @@ class TestSpeedupRatio:
             assert 0.0 <= ratio <= 1.0 + 1e-12
             if k < inst.n:
                 assert ratio > 0.0
-
-
-class TestBlockTour:
-    def test_singleton_zero_length(self):
-        assert block_tour([Point(5, 5)]).length == 0.0
-
-    def test_pair_out_and_back(self):
-        assert block_tour([Point(0, 0), Point(0, 3)]).length == pytest.approx(6.0)
-
-    def test_square_exact(self):
-        assert block_tour(square_instance().points).length == pytest.approx(4.0)
-
-    def test_inherited_passthrough(self):
-        tour = ClosedTour((Point(0, 0), Point(1, 0)))
-        assert block_tour([Point(0.5, 0)], "inherited", inherited=tour) is tour
-
-    def test_inherited_requires_tour(self):
-        with pytest.raises(ValueError):
-            block_tour([Point(0, 0)], "inherited")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            block_tour([Point(0, 0)], "annealing")

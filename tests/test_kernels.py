@@ -1,7 +1,11 @@
 """Solver kernels: both lanes agree with each other and with brute force."""
 
-import math
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,15 +14,9 @@ from helpers import (
     brute_force_tour_length,
     random_points,
 )
-from toursplit import SOLVER_BACKEND
-from toursplit import _core_py
+from toursplit import _core_py, circle_points
 
-try:
-    from toursplit import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None, reason="compiled core not built")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def flat_distances(points) -> list[float]:
@@ -96,24 +94,117 @@ class TestPureLane:
             _core_py.min_max_partition([0.0, 0.0], 1, 0)
 
 
-@needs_compiled
 class TestLaneParity:
-    def test_backends_bit_identical(self):
+    @staticmethod
+    def inputs():
         rng = random.Random(105)
-        for _ in range(20):
-            pts = random_points(rng, rng.randint(1, 9), scale=rng.choice([1.0, 100.0]))
+        for n in range(1, 14):
+            yield random_points(rng, n, scale=rng.choice([1.0, 100.0]))
+        # regular polygons are full of exact and near ties
+        for n in (2, 6, 8, 12, 13):
+            yield circle_points(n).points
+
+    def test_backends_bit_identical(self, compiled_core):
+        for pts in self.inputs():
             n = len(pts)
             dist = flat_distances(pts)
-            assert _core.shortest_cycle(dist, n) == _core_py.shortest_cycle(dist, n)
-            table_c = _core.cycle_lengths_by_subset(dist, n)
+            assert compiled_core.shortest_cycle(dist, n) == _core_py.shortest_cycle(dist, n)
+            table_c = compiled_core.cycle_lengths_by_subset(dist, n)
             table_py = _core_py.cycle_lengths_by_subset(dist, n)
             assert table_c == table_py
             for k in range(1, n + 1):
-                assert _core.min_max_partition(table_c, n, k) == _core_py.min_max_partition(
-                    table_py, n, k
-                )
+                assert compiled_core.min_max_partition(
+                    table_c, n, k
+                ) == _core_py.min_max_partition(table_py, n, k)
 
-    def test_backend_reports_compiled(self):
-        # the suite exercises whichever lane the environment selected;
-        # record it so failures are attributable
-        assert SOLVER_BACKEND in ("compiled", "pure")
+
+def backend_of(env_value, preload=None):
+    """Run a fresh interpreter with TOURSPLIT_BACKEND set; return its result.
+
+    ``preload`` is a compiled module file registered as ``toursplit._core``
+    before the package imports, standing in for an in-place build.
+    """
+    code = (
+        "import importlib.util, sys\n"
+        f"path = {preload!r}\n"
+        "if path:\n"
+        "    spec = importlib.util.spec_from_file_location('toursplit._core', path)\n"
+        "    mod = importlib.util.module_from_spec(spec)\n"
+        "    spec.loader.exec_module(mod)\n"
+        "    sys.modules['toursplit._core'] = mod\n"
+        "import toursplit\n"
+        "print(toursplit.SOLVER_BACKEND)\n"
+    )
+    env = dict(os.environ, TOURSPLIT_BACKEND=env_value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+class TestLaneSelection:
+    def test_forced_compiled(self, compiled_core):
+        proc = backend_of("compiled", preload=compiled_core.__file__)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "compiled"
+
+    def test_forced_pure(self, compiled_core):
+        proc = backend_of("pure", preload=compiled_core.__file__)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "pure"
+
+    def test_unknown_value_rejected(self):
+        proc = backend_of("bogus")
+        assert proc.returncode != 0
+        assert "ValueError: unknown TOURSPLIT_BACKEND value: 'bogus'" in proc.stderr
+
+
+MARKER = "             # <<<<<<<<<<<<<<"
+CLOSER_ESCAPE = "*[inserted by cython to avoid comment closer]/"
+OPENER_ESCAPE = "/[inserted by cython to avoid comment start]*"
+
+
+def quoted_pyx_lines(c_text):
+    """(line number, text) for every .pyx line Cython quoted into the C file.
+
+    Each quote opens with ``/* "toursplit/_core.pyx":NN``, lists source lines
+    NN-2 .. NN+2 prefixed with " * ", marks line NN with a trailing
+    ``# <<<<<<<<<<<<<<`` and closes with ``*/``.
+    """
+    lines = c_text.splitlines()
+    header = re.compile(r'/\* "toursplit/_core\.pyx":(\d+)$')
+    quoted = []
+    for i, line in enumerate(lines):
+        m = header.search(line)
+        if not m:
+            continue
+        body = []
+        for raw in lines[i + 1 :]:
+            if raw == "*/":
+                break
+            body.append(raw[3:])
+        marked = [j for j, text in enumerate(body) if text.endswith(MARKER)]
+        assert len(marked) == 1, f"C line {i + 1}: expected one marked line"
+        first = int(m.group(1)) - marked[0]
+        for j, text in enumerate(body):
+            text = text[: -len(MARKER)] if j == marked[0] else text
+            text = text.replace(CLOSER_ESCAPE, "*/").replace(OPENER_ESCAPE, "/*")
+            quoted.append((first + j, text.rstrip()))
+    return quoted
+
+
+def test_generated_c_matches_pyx():
+    """The shipped _core.c was generated from the current _core.pyx.
+
+    Regenerate it with ``cython src/toursplit/_core.pyx`` after editing the
+    .pyx file.
+    """
+    pyx = (SRC / "toursplit" / "_core.pyx").read_text().splitlines()
+    quoted = quoted_pyx_lines((SRC / "toursplit" / "_core.c").read_text())
+    assert len(quoted) > len(pyx)
+    stale = [
+        (number, text)
+        for number, text in quoted
+        if number > len(pyx) or pyx[number - 1].rstrip() != text
+    ]
+    assert not stale, f"_core.c is stale against _core.pyx, e.g. line {stale[0]}"

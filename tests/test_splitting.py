@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from toursplit import (
     split_plan,
     split_tour,
 )
+from toursplit.splitting import _plan
 
 INV_PI = 1.0 / math.pi
 
@@ -319,6 +321,16 @@ class TestSplitPlan:
 
         for k in range(1, 13):
             walk(split_plan(k).root)
+
+    def test_cold_cache_needs_no_deep_recursion(self):
+        _plan.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            plan = split_plan(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert plan.k == 300
 
 
 class TestBoundsTable:
