@@ -232,20 +232,46 @@ def min_width(obj: Widthable) -> tuple[float, Direction]:
 
     The minimum of a convex polygon is attained with a support line flush
     with one of its edges, so only edge-normal directions are examined.
+    Rotating calipers (Toussaint 1983) find each edge's farthest vertex
+    with a pointer that goes round the hull once, so the cost after the
+    hull is O(h).  Each edge's width is max - min of the projections of its
+    endpoints, the far vertex and their neighbours; the neighbours cover
+    extremes that rounding moves by one vertex, so the result is the same
+    to the bit as projecting every hull vertex.
     """
     hull = convex_hull(_widthable_points(obj))
-    if len(hull) == 1:
+    h = len(hull)
+    if h == 1:
         return 0.0, Direction(0.0)
-    if len(hull) == 2:
+    if h == 2:
         a, b = hull
         along = Direction(math.atan2(b.y - a.y, b.x - a.x))
         return 0.0, along.orthogonal()
     best_w = math.inf
     best_dir = Direction(0.0)
+    j = 1
     for i, a in enumerate(hull):
-        b = hull[(i + 1) % len(hull)]
+        b = hull[(i + 1) % h]
         normal = Direction(math.atan2(b.y - a.y, b.x - a.x)).orthogonal()
-        w = directional_width(hull, normal)
+        ux, uy = math.cos(normal.theta), math.sin(normal.theta)
+        base = a.x * ux + a.y * uy
+        # Distance from edge i's line is unimodal around a convex hull, and
+        # its peak never moves backwards as i advances.
+        j = max(j, i + 1)
+        p = hull[j % h]
+        far = abs(p.x * ux + p.y * uy - base)
+        while True:
+            p = hull[(j + 1) % h]
+            d = abs(p.x * ux + p.y * uy - base)
+            if d <= far:
+                break
+            far = d
+            j += 1
+        projs = [
+            hull[c % h].x * ux + hull[c % h].y * uy
+            for c in (i - 1, i, i + 1, i + 2, j - 1, j, j + 1)
+        ]
+        w = max(projs) - min(projs)
         if w < best_w:
             best_w = w
             best_dir = normal

@@ -110,17 +110,25 @@ def assign_points(
 
     A point at arclength s joins the first side when s is in [t_p, t_q)
     cyclically, so a point at the cut start goes left and one at the cut
-    end goes right.  Points must lie on the tour within 1e-9 of its length.
+    end goes right.  A point equal to a tour vertex reads its arclength by
+    index, at the vertex's first occurrence; any other point falls back to
+    ``ClosedTour.arclength_of``, so it must lie on the tour within 1e-9 of
+    its length.
     """
     ell = tour.length
     if ell <= 0.0:
         raise ValueError("point assignment needs a tour of positive length")
     tol = 1e-9 * ell
     span = (diagonal.t_q - diagonal.t_p) % ell
+    arclengths = tour.vertex_arclengths
+    index: dict[Point, int] = {}
+    for i, v in enumerate(tour.vertices):
+        index.setdefault(v, i)
     first: list[Point] = []
     second: list[Point] = []
     for pt in points:
-        s = tour.arclength_of(pt, tol)
+        i = index.get(pt)
+        s = arclengths[i] if i is not None else tour.arclength_of(pt, tol)
         rel = (s - diagonal.t_p) % ell
         (first if rel < span else second).append(pt)
     return tuple(first), tuple(second)

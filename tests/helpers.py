@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and instance generators.
 
 The oracles here are deliberately naive (permutation and set-partition
-enumeration) so they stay independent of the library's solver paths.
+enumeration, per-point edge scans, every-edge width projections) so they
+stay independent of the library's solver paths.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import itertools
 import math
 import random
 
-from toursplit import ClosedTour, Instance, Point
+from toursplit import ClosedTour, Direction, Instance, Point, convex_hull
 
 
 def dist(a, b) -> float:
@@ -89,6 +90,52 @@ def angular_tour(points) -> ClosedTour:
 
 def random_simple_tour(rng: random.Random, n: int, scale: float = 1.0) -> ClosedTour:
     return angular_tour(random_points(rng, n, scale))
+
+
+def ellipse_tour(rng: random.Random, m: int) -> ClosedTour:
+    """Points on a rotated ellipse, jittered at most half a step: a convex tour."""
+    b = 0.5 + 0.3 * rng.random()
+    phi = 2.0 * math.pi * rng.random()
+    c, s = math.cos(phi), math.sin(phi)
+    pts = []
+    for i in range(m):
+        t = 2.0 * math.pi * (i + 0.5 * rng.random()) / m
+        x, y = math.cos(t), b * math.sin(t)
+        pts.append(Point(x * c - y * s, x * s + y * c))
+    return ClosedTour(tuple(pts))
+
+
+def naive_assign_points(tour: ClosedTour, diagonal, points):
+    """Sides of the cut with every point located by the edge scan, O(m) per point."""
+    ell = tour.length
+    tol = 1e-9 * ell
+    span = (diagonal.t_q - diagonal.t_p) % ell
+    first, second = [], []
+    for pt in points:
+        rel = (tour.arclength_of(pt, tol) - diagonal.t_p) % ell
+        (first if rel < span else second).append(pt)
+    return tuple(first), tuple(second)
+
+
+def naive_min_width(obj):
+    """Minimum width by projecting the whole hull on every edge normal, O(h^2)."""
+    hull = convex_hull(obj.vertices if isinstance(obj, ClosedTour) else obj)
+    if len(hull) == 1:
+        return 0.0, Direction(0.0)
+    if len(hull) == 2:
+        a, b = hull
+        return 0.0, Direction(math.atan2(b.y - a.y, b.x - a.x)).orthogonal()
+    coords = [(p.x, p.y) for p in hull]
+    best_w, best_dir = math.inf, Direction(0.0)
+    for i, a in enumerate(hull):
+        b = hull[(i + 1) % len(hull)]
+        normal = Direction(math.atan2(b.y - a.y, b.x - a.x)).orthogonal()
+        ux, uy = math.cos(normal.theta), math.sin(normal.theta)
+        projs = [x * ux + y * uy for x, y in coords]
+        w = max(projs) - min(projs)
+        if w < best_w:
+            best_w, best_dir = w, normal
+    return best_w, best_dir
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:

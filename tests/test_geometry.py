@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_points, random_simple_tour
+from helpers import naive_min_width, random_points, random_simple_tour
 from toursplit import (
     ClosedTour,
     Direction,
     Point,
+    circle_points,
     convex_hull,
     directional_width,
     min_width,
@@ -208,6 +209,23 @@ class TestMinWidth:
             for j in range(37):
                 theta = j * math.pi / 37
                 assert directional_width(pts, theta) >= w - 1e-12
+
+    def test_bit_identical_to_every_edge_projection(self):
+        rng = random.Random(17)
+        for i in range(3000):
+            pts = random_points(rng, rng.randint(1, 60), scale=(1e-3, 1.0, 1e3)[i % 3])
+            w, d = min_width(pts)
+            ref_w, ref_d = naive_min_width(pts)
+            assert (w, d.theta) == (ref_w, ref_d.theta)
+
+    def test_regular_polygons_bit_identical(self):
+        # every edge ties with its neighbours up to rounding, so the
+        # first-minimum choice is sensitive to each projection's last bit
+        for n in range(3, 401):
+            pts = circle_points(n).points
+            w, d = min_width(pts)
+            ref_w, ref_d = naive_min_width(pts)
+            assert (w, d.theta) == (ref_w, ref_d.theta)
 
 
 class TestConvexWidthBound:

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, random_simple_tour
+from helpers import (
+    ellipse_tour,
+    naive_assign_points,
+    naive_min_width,
+    random_instance,
+    random_simple_tour,
+)
 from toursplit import (
     ClosedTour,
+    Diagonal,
     Instance,
     Point,
     assign_points,
@@ -26,9 +33,11 @@ from toursplit import (
     split_plan,
     split_tour,
 )
+from toursplit import splitting
 from toursplit.splitting import _plan
 
 INV_PI = 1.0 / math.pi
+PARITY_KS = (2, 3, 4, 5, 8, 10)
 
 SQUARE = ClosedTour((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 SQUARE_POINTS = SQUARE.vertices
@@ -36,6 +45,31 @@ SQUARE_POINTS = SQUARE.vertices
 
 def regular_polygon_tour(n: int) -> ClosedTour:
     return ClosedTour(tuple(circle_points(n).points))
+
+
+def parity_tours() -> list[ClosedTour]:
+    """Seeded star-shaped and ellipse tours at m = 100, 300, then 200 small ones."""
+    tours = []
+    for m in (100, 300):
+        tours.append(random_simple_tour(random.Random(m), m))
+        tours.append(ellipse_tour(random.Random(m), m))
+    rng = random.Random(89)
+    for _ in range(200):
+        tours.append(random_simple_tour(rng, rng.randint(3, 30), rng.choice([1e-3, 1.0, 1e3])))
+    return tours
+
+
+def count_scans(monkeypatch) -> list:
+    """Record every ClosedTour.arclength_of call from here on."""
+    calls = []
+    scan = ClosedTour.arclength_of
+
+    def counted(self, pt, tol):
+        calls.append(pt)
+        return scan(self, pt, tol)
+
+    monkeypatch.setattr(ClosedTour, "arclength_of", counted)
+    return calls
 
 
 class TestChordSearch:
@@ -220,6 +254,50 @@ class TestAssignPoints:
         with pytest.raises(ValueError):
             assign_points(SQUARE, d, (Point(0.5, 0.5),))
 
+    def test_sides_match_the_edge_scan(self):
+        for tour in parity_tours():
+            for k in PARITY_KS:
+                d = short_diagonal(tour, split_plan(k).root.fraction * tour.length)
+                sides = assign_points(tour, d, tour.vertices)
+                assert sides == naive_assign_points(tour, d, tour.vertices)
+
+    def test_repeated_vertex_reads_its_first_visit(self):
+        # the tour passes the origin at arclengths 0 and 2 + sqrt(2); only
+        # the first visit lies in the cut's [t_p, t_q) = [0, 1)
+        o = Point(0, 0)
+        tour = ClosedTour((o, Point(1, 0), Point(1, 1), o, Point(-1, 0), Point(-1, -1)))
+        d = Diagonal(o, Point(1, 0), 0.0, 1.0)
+        sides = assign_points(tour, d, (o, Point(1, 1)))
+        assert sides == ((o,), (Point(1, 1),))
+        assert sides == naive_assign_points(tour, d, (o, Point(1, 1)))
+
+    def test_vertex_points_skip_the_edge_scan(self, monkeypatch):
+        tour = ellipse_tour(random.Random(10_000), 10_000)
+        calls = count_scans(monkeypatch)
+        result = guaranteed_partition(tour.vertices, tour, 8)
+        assert calls == []
+        bound = split_plan(8).ratio * tour.length
+        assert all(t.length <= bound + 1e-9 for t in result.tours)
+        assert all(d.length <= tour.length * INV_PI + 1e-9 for d in result.diagonals)
+
+    def test_edge_midpoints_take_the_edge_scan(self, monkeypatch):
+        tour = random_simple_tour(random.Random(71), 40)
+        verts = tour.vertices
+        mids = tuple(
+            Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+            for a, b in zip(verts, verts[1:] + verts[:1])
+        )
+        d = short_diagonal(tour, 0.4 * tour.length)
+        calls = count_scans(monkeypatch)
+        first, second = assign_points(tour, d, mids)
+        assert len(calls) == len(mids)
+        span = (d.t_q - d.t_p) % tour.length
+        cum = tour.vertex_arclengths + (tour.length,)
+        for i, mid in enumerate(mids):
+            rel = ((cum[i] + cum[i + 1]) / 2.0 - d.t_p) % tour.length
+            assert (mid in first) == (rel < span)
+            assert (mid in second) == (rel >= span)
+
     def test_every_assigned_point_lies_on_its_tour(self):
         rng = random.Random(41)
         for _ in range(50):
@@ -402,6 +480,29 @@ class TestGuaranteedPartition:
             plain = guaranteed_partition(inst, tour, 3)
             better = guaranteed_partition(inst, tour, 3, reoptimize=True)
             assert better.value <= plain.value + 1e-9
+
+    def test_matches_the_edge_scan_and_every_edge_width(self, monkeypatch):
+        cases = [(tour, k) for tour in parity_tours() for k in PARITY_KS]
+        fast = [guaranteed_partition(tour.vertices, tour, k) for tour, k in cases]
+        monkeypatch.setattr(splitting, "assign_points", naive_assign_points)
+        monkeypatch.setattr(splitting, "min_width", naive_min_width)
+        for (tour, k), got in zip(cases, fast):
+            ref = guaranteed_partition(tour.vertices, tour, k)
+            assert got.partition == ref.partition
+            assert got.diagonals == ref.diagonals
+
+    def test_vertex_at_the_cut_start_goes_left(self):
+        # At k = 10 one cut on the octagon starts on a vertex up to rounding.
+        # The edge scan put that vertex an ulp before the cut start, so it
+        # went right and shared a block; read by index it lies an ulp after,
+        # so it goes left like any point at the cut start, and every point
+        # gets its own block.
+        pts = circle_points(8).points
+        result = guaranteed_partition(pts, ClosedTour(pts), 10)
+        assert [len(block) for block in result.partition.blocks] == [1] * 8
+        for block, tour in zip(result.partition.blocks, result.tours):
+            assert block[0] in tour.vertices
+        assert result.value == 2.4018631658336846
 
     def test_more_leaves_than_points_drops_empty_blocks(self):
         tri = ClosedTour((Point(0, 0), Point(1, 0), Point(0.5, 0.8)))
