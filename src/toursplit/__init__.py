@@ -13,8 +13,6 @@ from .circle import (
     circle_limit_ratio,
     circle_points,
     circle_ratio,
-    collapse_to_arc,
-    fill_gap_step,
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
@@ -35,9 +33,7 @@ from .geometry import (
     Diagonal,
     Direction,
     Point,
-    PolyChain,
     convex_hull,
-    directional_width,
     min_width,
 )
 from .kernels import BACKEND as SOLVER_BACKEND
@@ -75,7 +71,6 @@ __all__ = [
     "Partition",
     "PlanNode",
     "Point",
-    "PolyChain",
     "SOLVER_BACKEND",
     "SolveResult",
     "SplitPlan",
@@ -88,11 +83,8 @@ __all__ = [
     "circle_limit_ratio",
     "circle_points",
     "circle_ratio",
-    "collapse_to_arc",
     "convex_hull",
-    "directional_width",
     "equalizing_fraction",
-    "fill_gap_step",
     "guaranteed_partition",
     "halve_tour",
     "min_width",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .exact import CapacityError, Instance, speedup_ratio, tour_values_by_subset
 from .geometry import Point
@@ -76,15 +75,6 @@ def _subset_values(n: int) -> list[float]:
     return tour_values_by_subset(circle_points(n).instance())
 
 
-def _mask_of(indices: Iterable[int], n: int) -> int:
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"index must be in 1..{n}, got {i}")
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def _indices_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
 
@@ -98,8 +88,6 @@ class ArcOptimalityReport:
     arc_value: float
     min_value: float
     min_subset: tuple[int, ...]
-    max_value: float
-    max_subset: tuple[int, ...]
     subsets_checked: int
 
 
@@ -115,8 +103,7 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
     arc_mask = (1 << m) - 1
     arc_value = values[arc_mask]
     min_value = math.inf
-    max_value = -math.inf
-    min_mask = max_mask = arc_mask
+    min_mask = arc_mask
     checked = 0
     for mask in range(1, 1 << n):
         if bin(mask).count("1") != m:
@@ -126,9 +113,6 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
         if v < min_value:
             min_value = v
             min_mask = mask
-        if v > max_value:
-            max_value = v
-            max_mask = mask
     if arc_value > min_value + tol:
         raise VerificationError(
             f"subset {_indices_of(min_mask, n)} of the {n}-circle beats the "
@@ -140,69 +124,8 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
         arc_value=arc_value,
         min_value=min_value,
         min_subset=_indices_of(min_mask, n),
-        max_value=max_value,
-        max_subset=_indices_of(max_mask, n),
         subsets_checked=checked,
     )
-
-
-def fill_gap_step(
-    n: int, subset: Iterable[int], i: int, j: int
-) -> tuple[frozenset[int], float]:
-    """Move the far end of a gap next to its near end and report the saving.
-
-    ``subset`` must contain p_i and p_j with every point strictly between
-    them (going forward from i) absent and at least one point missing.
-    Returns the new subset with p_j replaced by p_{i+1} and the exact tour
-    saving (old minus new), which is never meaningfully negative.
-    """
-    members = frozenset(subset)
-    if i not in members or j not in members:
-        raise ValueError("both gap endpoints must be in the subset")
-    gap = (j - i) % n
-    if gap < 2:
-        raise ValueError("no gap: j must be at least two steps after i")
-    for step in range(1, gap):
-        between = (i - 1 + step) % n + 1
-        if between in members:
-            raise ValueError(f"p_{between} lies strictly between p_{i} and p_{j}")
-    successor = i % n + 1
-    values = _subset_values(n)
-    new_members = frozenset(members - {j} | {successor})
-    delta = values[_mask_of(members, n)] - values[_mask_of(new_members, n)]
-    return new_members, delta
-
-
-def _is_arc(n: int, members: frozenset[int]) -> bool:
-    """True when the members form one run of consecutive circle indices."""
-    boundaries = sum(1 for i in members if (i % n) + 1 not in members)
-    return boundaries <= 1
-
-
-def collapse_to_arc(n: int, subset: Iterable[int]) -> tuple[frozenset[int], int]:
-    """Repeatedly fill gaps until the subset is a consecutive arc.
-
-    Keeps the lowest member fixed and always fills the first gap after the
-    run containing it, so each step extends that run by one point.  Returns
-    the final arc and the number of steps taken (at most n).
-    """
-    members = frozenset(subset)
-    if not members:
-        raise ValueError("subset must be nonempty")
-    anchor = min(members)
-    steps = 0
-    while not _is_arc(n, members):
-        run_end = anchor
-        while (run_end % n) + 1 in members:
-            run_end = (run_end % n) + 1
-        j = (run_end % n) + 1
-        while j not in members:
-            j = (j % n) + 1
-        members, _ = fill_gap_step(n, members, run_end, j)
-        steps += 1
-        if steps > n:
-            raise RuntimeError("gap filling failed to terminate")
-    return members, steps
 
 
 def verify_gap_fill_monotonicity(n: int, tol: float = 1e-9) -> int:

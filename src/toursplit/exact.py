@@ -9,7 +9,7 @@ ties by the lexicographically smallest labelling so results are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import kernels
 from .geometry import ClosedTour, Diagonal, Point, PointInput, _as_points
@@ -90,7 +90,6 @@ class SolveResult:
     tours: tuple[ClosedTour, ...]
     value: float
     diagonals: tuple[Diagonal, ...] = ()
-    labels: Optional[tuple[int, ...]] = None
 
 
 def optimal_tour(instance: Instance) -> ClosedTour:
@@ -145,7 +144,6 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
         partition=Partition(tuple(tuple(b) for b in blocks)),
         tours=tours,
         value=value,
-        labels=tuple(labels),
     )
 
 

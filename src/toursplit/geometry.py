@@ -34,6 +34,16 @@ def _as_points(points: Iterable[PointInput]) -> tuple[Point, ...]:
     return tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in points)
 
 
+def _unit_scale(size: float) -> float:
+    """The power of two that brings ``size`` into [0.5, 1).
+
+    Multiplying by a power of two is exact outside the subnormal range, so
+    arithmetic on scaled values gives the scaled result to the bit, while
+    products of size-sized values neither overflow nor underflow.
+    """
+    return math.ldexp(1.0, min(-math.frexp(size)[1], 1023))
+
+
 @dataclass(frozen=True)
 class Direction:
     """An undirected planar direction, stored as an angle in [0, pi)."""
@@ -51,20 +61,6 @@ class Direction:
 
     def orthogonal(self) -> "Direction":
         return Direction(self.theta + math.pi / 2.0)
-
-
-@dataclass(frozen=True)
-class PolyChain:
-    """An open polygonal chain (a subpath cut out of a closed tour)."""
-
-    points: tuple[Point, ...]
-
-    @property
-    def length(self) -> float:
-        total = 0.0
-        for a, b in zip(self.points, self.points[1:]):
-            total += a.distance_to(b)
-        return total
 
 
 @dataclass(frozen=True)
@@ -112,11 +108,11 @@ class ClosedTour:
         f = (t - self._cum[i]) / seg
         return Point(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
 
-    def subcurve(self, t1: float, t2: float) -> PolyChain:
-        """The subpath from arclength ``t1`` forward to ``t2``.
+    def subcurve(self, t1: float, t2: float) -> tuple[Point, ...]:
+        """The points of the open path from arclength ``t1`` forward to ``t2``.
 
         Its arclength is ``(t2 - t1) mod length``; a zero span yields a
-        single-point chain.
+        single point.
         """
         if self.length == 0.0:
             raise ValueError("subcurve is undefined on a zero-length tour")
@@ -124,7 +120,7 @@ class ClosedTour:
         span = (t2 - t1) % self.length
         first = self.point_at(start)
         if span == 0.0:
-            return PolyChain((first,))
+            return (first,)
         interior = []
         for idx, s in enumerate(self._cum[:-1]):
             rel = (s - start) % self.length
@@ -132,7 +128,7 @@ class ClosedTour:
                 interior.append((rel, idx))
         interior.sort()
         pts = [first] + [self.vertices[idx] for _, idx in interior] + [self.point_at(start + span)]
-        return PolyChain(tuple(pts))
+        return tuple(pts)
 
     def arclength_of(self, pt: Point, tol: float) -> float:
         """Smallest arclength at which ``pt`` lies on the curve, within ``tol``.
@@ -141,6 +137,9 @@ class ClosedTour:
         edge.
         """
         m = len(self.vertices)
+        # one factor of each quadratic term is scaled to the tour's size, so
+        # the dot product and seg^2 neither overflow nor underflow
+        s = _unit_scale(self.length)
         for i in range(m):
             a = self.vertices[i]
             b = self.vertices[(i + 1) % m]
@@ -149,9 +148,9 @@ class ClosedTour:
                 if pt.distance_to(a) <= tol:
                     return self._cum[i]
                 continue
-            ax, ay = pt.x - a.x, pt.y - a.y
+            ax, ay = (pt.x - a.x) * s, (pt.y - a.y) * s
             bx, by = b.x - a.x, b.y - a.y
-            f = (ax * bx + ay * by) / (seg * seg)
+            f = (ax * bx + ay * by) / (seg * s * seg)
             f = 0.0 if f < 0.0 else (1.0 if f > 1.0 else f)
             cx, cy = a.x + f * bx, a.y + f * by
             if math.hypot(pt.x - cx, pt.y - cy) <= tol:
@@ -173,61 +172,48 @@ class Diagonal:
         return self.p.distance_to(self.q)
 
 
-Widthable = Union[ClosedTour, Iterable[PointInput]]
-
-
-def _widthable_points(obj: Widthable) -> tuple[Point, ...]:
-    pts = obj.vertices if isinstance(obj, ClosedTour) else _as_points(obj)
-    if not pts:
-        raise ValueError("need at least one point")
-    return pts
-
-
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _cross(o: tuple, a: tuple, b: tuple) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
     """Convex hull vertices in counterclockwise order, strictly convex.
 
     Duplicate points are dropped.  Collinear input reduces to the two
-    extreme points; a single point is returned as is.
+    extreme points; a single point is returned as is.  The turn tests run
+    on the coordinates scaled to the bounding box's size, so their cross
+    products neither overflow nor underflow.
     """
     pts = sorted(set((p.x, p.y) for p in _as_points(points)))
     if not pts:
         raise ValueError("need at least one point")
-    pts = [Point(x, y) for x, y in pts]
     if len(pts) <= 2:
-        return tuple(pts)
-    dx = pts[-1].x - pts[0].x
-    ys = [p.y for p in pts]
-    eps = 1e-12 * math.hypot(dx, max(ys) - min(ys))
-    lower: list[Point] = []
-    for p in pts:
+        return tuple(Point(x, y) for x, y in pts)
+    dx = pts[-1][0] - pts[0][0]
+    ys = [y for _, y in pts]
+    dy = max(ys) - min(ys)
+    s = _unit_scale(max(dx, dy))
+    eps = 1e-12 * math.hypot(dx * s, dy * s)
+    # (scaled x, scaled y, x, y): the chain turns on the first pair
+    chain = [(x * s, y * s, x, y) for x, y in pts]
+    lower: list[tuple] = []
+    for p in chain:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= eps:
             lower.pop()
         lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
+    upper: list[tuple] = []
+    for p in reversed(chain):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= eps:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:
         # all points collinear after tolerance pruning
-        return (pts[0], pts[-1])
-    return tuple(hull)
+        hull = [chain[0], chain[-1]]
+    return tuple(Point(p[2], p[3]) for p in hull)
 
 
-def directional_width(obj: Widthable, direction: Union[Direction, float]) -> float:
-    """Extent of the projection onto the given direction."""
-    theta = direction.theta if isinstance(direction, Direction) else float(direction)
-    ux, uy = math.cos(theta), math.sin(theta)
-    projs = [p.x * ux + p.y * uy for p in _widthable_points(obj)]
-    return max(projs) - min(projs)
-
-
-def min_width(obj: Widthable) -> tuple[float, Direction]:
+def min_width(obj: Union[ClosedTour, Iterable[PointInput]]) -> tuple[float, Direction]:
     """Minimum width over all directions, with an achieving direction.
 
     The minimum of a convex polygon is attained with a support line flush
@@ -239,7 +225,7 @@ def min_width(obj: Widthable) -> tuple[float, Direction]:
     extremes that rounding moves by one vertex, so the result is the same
     to the bit as projecting every hull vertex.
     """
-    hull = convex_hull(_widthable_points(obj))
+    hull = convex_hull(obj.vertices if isinstance(obj, ClosedTour) else obj)
     h = len(hull)
     if h == 1:
         return 0.0, Direction(0.0)

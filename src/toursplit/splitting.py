@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .circle import circle_limit_ratio
-from .exact import MAX_EXACT_POINTS, Instance, Partition, SolveResult, optimal_tour
-from .geometry import ClosedTour, Diagonal, Point, _as_points, min_width
+from .exact import Instance, Partition, SolveResult
+from .geometry import ClosedTour, Diagonal, Point, _as_points, _unit_scale, min_width
 
 INV_PI = 1.0 / math.pi
 
@@ -35,7 +35,9 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
 
     The projection f(t) = (c(t+x) - c(t)) . u is piecewise linear with
     breakpoints where either endpoint crosses a tour vertex, so roots are
-    found by scanning breakpoints for sign changes and interpolating.
+    found by scanning breakpoints for sign changes and interpolating.  The
+    scan works on f scaled to the tour's length, so neither the sign test
+    nor the interpolation overflows or underflows.
     """
     ell = tour.length
     if ell <= 0.0:
@@ -57,8 +59,9 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
         {s % ell for s in tour.vertex_arclengths}
         | {(s - x) % ell for s in tour.vertex_arclengths}
     )
-    values = [f(b) for b in breaks]
-    zero_tol = 1e-12 * ell
+    s = _unit_scale(ell)
+    values = [f(b) * s for b in breaks]
+    zero_tol = 1e-12 * ell * s
     roots = []
     m = len(breaks)
     for i in range(m):
@@ -134,15 +137,16 @@ def assign_points(
     return tuple(first), tuple(second)
 
 
-def _split_at_arclength(
-    tour: ClosedTour, points: Union[Instance, Iterable[Point]], x: float
+def split_tour(
+    tour: ClosedTour, points: Union[Instance, Iterable[Point]], fraction: float
 ) -> SplitResult:
-    diagonal = short_diagonal(tour, x)
-    chain1 = tour.subcurve(diagonal.t_p, diagonal.t_q)
-    chain2 = tour.subcurve(diagonal.t_q, diagonal.t_p)
+    """Split so the first side carries ``fraction`` of the tour's arclength."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
+    diagonal = short_diagonal(tour, fraction * tour.length)
     # closing edge of each sub-tour is exactly the shared diagonal
-    tour1 = ClosedTour(chain1.points)
-    tour2 = ClosedTour(chain2.points)
+    tour1 = ClosedTour(tour.subcurve(diagonal.t_p, diagonal.t_q))
+    tour2 = ClosedTour(tour.subcurve(diagonal.t_q, diagonal.t_p))
     pts = points.points if isinstance(points, Instance) else _as_points(points)
     points1, points2 = assign_points(tour, diagonal, pts)
     return SplitResult(diagonal, tour1, tour2, points1, points2)
@@ -152,16 +156,7 @@ def halve_tour(
     tour: ClosedTour, points: Union[Instance, Iterable[Point]]
 ) -> SplitResult:
     """Split at antipodal arclengths; both halves are at most (1/2 + 1/pi) of the tour."""
-    return _split_at_arclength(tour, points, tour.length / 2.0)
-
-
-def split_tour(
-    tour: ClosedTour, points: Union[Instance, Iterable[Point]], fraction: float
-) -> SplitResult:
-    """Split so the first side carries ``fraction`` of the tour's arclength."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    return _split_at_arclength(tour, points, fraction * tour.length)
+    return split_tour(tour, points, 0.5)
 
 
 def equalizing_fraction(ratio_a: float, ratio_b: float) -> float:
@@ -197,11 +192,6 @@ class PlanNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
 
 
 def _combine(left: PlanNode, right: PlanNode) -> PlanNode:
@@ -297,15 +287,13 @@ def guaranteed_partition(
     points: Union[Instance, Sequence[Point]],
     tour: ClosedTour,
     k: int,
-    reoptimize: bool = False,
 ) -> SolveResult:
     """Split a tour of the points into k pieces within g(k) of its length.
 
-    Each piece inherits its sub-tour from the recursive splitting, which is
-    what the guarantee is proved for; ``reoptimize`` re-solves small blocks
-    exactly afterwards, which can only shorten them.  Leaves that receive
-    no points are dropped from the result, so a zero-length tour (a single
-    point) stays one block.
+    Each piece keeps the sub-tour the recursive splitting cut for it, which
+    is what the guarantee is proved for.  Leaves that receive no points are
+    dropped from the result, so a zero-length tour (a single point) stays
+    one block.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
@@ -325,11 +313,6 @@ def guaranteed_partition(
 
     descend(plan.root, tour, instance.points)
     kept = [(pts, t) for pts, t in leaves if pts]
-    if reoptimize:
-        kept = [
-            (pts, optimal_tour(Instance(pts)) if len(pts) <= MAX_EXACT_POINTS else t)
-            for pts, t in kept
-        ]
     blocks = tuple(pts for pts, _ in kept)
     tours = tuple(t for _, t in kept)
     return SolveResult(

@@ -138,6 +138,37 @@ def naive_min_width(obj):
     return best_w, best_dir
 
 
+def projection_width(points, theta: float) -> float:
+    """Extent of the points' projection onto the direction at angle theta."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    projs = [p.x * ux + p.y * uy for p in points]
+    return max(projs) - min(projs)
+
+
+def chain_length(points) -> float:
+    """Length of the open polygonal path through the points."""
+    return sum(dist(a, b) for a, b in zip(points, points[1:]))
+
+
+def leaf_count(node) -> int:
+    """Leaves of a split-plan subtree."""
+    return 1 if node.is_leaf else leaf_count(node.left) + leaf_count(node.right)
+
+
+def gap_fill_move_count(n: int) -> int:
+    """Valid gap-fill moves on the n-circle, counted from the subsets.
+
+    A move fills the gap after member i, so a subset of 2..n-1 points has
+    one move per member whose successor is absent.
+    """
+    return sum(
+        i % n + 1 not in subset
+        for size in range(2, n)
+        for subset in itertools.combinations(range(1, n + 1), size)
+        for i in subset
+    )
+
+
 def _orient(a: Point, b: Point, c: Point) -> float:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from helpers import brute_force_tour_length
+from helpers import brute_force_tour_length, gap_fill_move_count
 from toursplit import (
     Instance,
     VerificationError,
@@ -12,13 +12,12 @@ from toursplit import (
     circle_limit_ratio,
     circle_points,
     circle_ratio,
-    collapse_to_arc,
-    fill_gap_step,
     optimal_tour,
     speedup_ratio,
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
+from toursplit import circle
 
 
 class TestCirclePoints:
@@ -117,43 +116,29 @@ class TestArcOptimality:
     def test_singletons_all_free(self):
         report = verify_arc_optimality(7, 1)
         assert report.min_value == 0.0
-        assert report.max_value == 0.0
+        values = circle._subset_values(7)
+        assert all(values[1 << i] == 0.0 for i in range(7))
 
 
 class TestGapFillStep:
-    def test_example_move(self):
-        new, delta = fill_gap_step(8, {1, 3, 4, 5}, i=1, j=3)
-        assert new == frozenset({1, 2, 4, 5})
-        assert delta >= -1e-9
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            fill_gap_step(8, {1, 3, 4}, i=2, j=3)  # i not in subset
-        with pytest.raises(ValueError):
-            fill_gap_step(8, {1, 2, 3}, i=1, j=2)  # no gap
-        with pytest.raises(ValueError):
-            fill_gap_step(8, {1, 3, 5}, i=1, j=5)  # p_3 sits inside the gap
-
-    def test_wrapping_gap(self):
-        new, delta = fill_gap_step(6, {2, 3, 5}, i=5, j=2)
-        assert new == frozenset({3, 5, 6})
-        assert delta >= -1e-9
-
-    def test_collapse_reaches_an_arc_quickly(self):
-        final, steps = collapse_to_arc(8, {1, 3, 5, 7})
-        members = sorted(final)
-        assert steps <= 8
-        boundaries = sum(1 for i in final if (i % 8) + 1 not in final)
-        assert boundaries <= 1
-        assert len(members) == 4
-
-    def test_collapse_recognizes_wrapped_arcs(self):
-        final, steps = collapse_to_arc(8, {8, 1, 2})
-        assert steps == 0
-        assert final == frozenset({8, 1, 2})
-
     def test_exhaustive_monotonicity_small(self):
         assert verify_gap_fill_monotonicity(8) > 0
+
+    def test_move_counts_match_an_independent_enumeration(self):
+        for n in range(3, 9):
+            assert verify_gap_fill_monotonicity(n) == gap_fill_move_count(n), n
+
+    def test_one_costly_move_is_named(self, monkeypatch):
+        # The only valid move into {1, 2, 4} fills the gap after p_1 in
+        # {1, 3, 4}, moving p_3 to p_2; make that subset cost more.
+        values = list(circle._subset_values(6))
+        values[0b1011] = values[0b1101] + 1.0
+        monkeypatch.setattr(circle, "_subset_values", lambda n: values)
+        with pytest.raises(
+            VerificationError,
+            match=r"subset \(1, 3, 4\) of the 6-circle \(i=1, j=3\)",
+        ):
+            verify_gap_fill_monotonicity(6)
 
 
 class TestCircleRatio:

@@ -153,6 +153,23 @@ class TestSplit:
         assert len(doc["blocks"]) == 1
         assert doc["blocks"][0]["points"] == [[2.0, 3.0]]
 
+    @pytest.mark.parametrize("n, scale", [(8, 1e-200), (6, 1e300)])
+    def test_far_from_unit_size(self, tmp_path, capsys, n, scale):
+        gen = str(tmp_path / "gen.txt")
+        assert main(["gen", "-n", str(n), "--seed", "3", "--out", gen]) == 0
+        pts = parse_instance_text(open(gen).read())
+        path = write(
+            tmp_path, "far.txt", format_instance([Point(p.x * scale, p.y * scale) for p in pts])
+        )
+        for k in (2, 3, 8):
+            code, out = run(capsys, ["split", path, "-k", str(k)])
+            assert code == 0, k
+            doc = json.loads(out)
+            for block in doc["blocks"]:
+                assert block["length"] <= doc["bound"] * (1 + 1e-9)
+            for p, q in doc["diagonals"]:
+                assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
+
     def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def explode(tour, x):
             raise ChordSearchError("forced failure")

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_min_width, random_points, random_simple_tour
+from helpers import (
+    chain_length,
+    naive_min_width,
+    projection_width,
+    random_points,
+    random_simple_tour,
+)
 from toursplit import (
     ClosedTour,
     Direction,
     Point,
     circle_points,
     convex_hull,
-    directional_width,
     min_width,
     optimal_tour,
     Instance,
@@ -99,17 +104,17 @@ class TestPointAt:
 class TestSubcurve:
     def test_first_two_edges(self):
         chain = SQUARE.subcurve(0, 2)
-        assert chain.points == (Point(0, 0), Point(1, 0), Point(1, 1))
-        assert chain.length == pytest.approx(2.0)
+        assert chain == (Point(0, 0), Point(1, 0), Point(1, 1))
+        assert chain_length(chain) == pytest.approx(2.0)
 
     def test_wraps_origin(self):
         chain = SQUARE.subcurve(3.5, 0.5)
-        assert chain.points == (Point(0, 0.5), Point(0, 0), Point(0.5, 0))
-        assert chain.length == pytest.approx(1.0)
+        assert chain == (Point(0, 0.5), Point(0, 0), Point(0.5, 0))
+        assert chain_length(chain) == pytest.approx(1.0)
 
     def test_half_tour_span(self):
         chain = SQUARE.subcurve(0.7, 0.7 + 2.0)
-        assert chain.length == pytest.approx(2.0)
+        assert chain_length(chain) == pytest.approx(2.0)
 
     @given(
         tour_strategy(),
@@ -120,10 +125,19 @@ class TestSubcurve:
     def test_complement_lengths_add_up(self, tour, t1, t2):
         forward = tour.subcurve(t1, t2)
         backward = tour.subcurve(t2, t1)
-        total = forward.length + backward.length
+        total = chain_length(forward) + chain_length(backward)
         if (t2 - t1) % tour.length == 0.0:
             return  # degenerate single-point chains
         assert total == pytest.approx(tour.length, rel=1e-9)
+
+
+class TestArclengthOf:
+    @pytest.mark.parametrize("scale", [1e-200, 1e300])
+    def test_edge_midpoint_far_from_unit_size(self, scale):
+        tour = ClosedTour(tuple(Point(p.x * scale, p.y * scale) for p in SQUARE.vertices))
+        mid = Point(scale, 0.5 * scale)
+        t = tour.arclength_of(mid, 1e-9 * tour.length)
+        assert t == pytest.approx(1.5 * scale, rel=1e-12)
 
 
 class TestConvexHull:
@@ -167,21 +181,13 @@ class TestConvexHull:
                 cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
                 assert cross > 0.0  # left turns only: CCW, no 3 collinear
 
+    def test_subnormal_extent(self):
+        tiny = [Point(0, 0), Point(1e-310, 0), Point(0, 1e-310)]
+        assert convex_hull(tiny) == (Point(0, 0), Point(1e-310, 0), Point(0, 1e-310))
+
     def test_duplicates_dropped(self):
         hull = convex_hull([Point(0, 0), Point(0, 0), Point(1, 0), Point(1, 0)])
         assert hull == (Point(0, 0), Point(1, 0))
-
-
-class TestDirectionalWidth:
-    def test_square_axis(self):
-        assert directional_width(SQUARE, Direction(0.0)) == pytest.approx(1.0)
-
-    def test_square_diagonal(self):
-        assert directional_width(SQUARE, math.pi / 4) == pytest.approx(math.sqrt(2))
-
-    def test_collinear_orthogonal_is_zero(self):
-        w = directional_width([Point(0, 0), Point(2, 0)], Direction(math.pi / 2))
-        assert w == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMinWidth:
@@ -208,7 +214,7 @@ class TestMinWidth:
             w, _ = min_width(pts)
             for j in range(37):
                 theta = j * math.pi / 37
-                assert directional_width(pts, theta) >= w - 1e-12
+                assert projection_width(pts, theta) >= w - 1e-12
 
     def test_bit_identical_to_every_edge_projection(self):
         rng = random.Random(17)
@@ -217,6 +223,19 @@ class TestMinWidth:
             w, d = min_width(pts)
             ref_w, ref_d = naive_min_width(pts)
             assert (w, d.theta) == (ref_w, ref_d.theta)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # the hull's cross products are quadratic in the coordinates, so
+        # at 2^-900 they underflowed and at 2^900 they overflowed
+        rng = random.Random(19)
+        for _ in range(200):
+            pts = random_points(rng, rng.randint(3, 30))
+            hull = convex_hull(pts)
+            w, d = min_width(pts)
+            for f in (2.0**-900, 2.0**900):
+                far = [Point(p.x * f, p.y * f) for p in pts]
+                assert convex_hull(far) == tuple(Point(p.x * f, p.y * f) for p in hull)
+                assert min_width(far) == (w * f, d)
 
     def test_regular_polygons_bit_identical(self):
         # every edge ties with its neighbours up to rounding, so the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     ellipse_tour,
+    leaf_count,
     naive_assign_points,
     naive_min_width,
     random_instance,
@@ -57,6 +58,22 @@ def parity_tours() -> list[ClosedTour]:
     for _ in range(200):
         tours.append(random_simple_tour(rng, rng.randint(3, 30), rng.choice([1e-3, 1.0, 1e3])))
     return tours
+
+
+def scale_tours() -> list[ClosedTour]:
+    """Seeded star-shaped and ellipse tours at m = 10..58, then 100 small ones."""
+    tours = []
+    for m in range(10, 60, 2):
+        tours.append(random_simple_tour(random.Random(m), m))
+        tours.append(ellipse_tour(random.Random(m), m))
+    rng = random.Random(97)
+    for _ in range(100):
+        tours.append(random_simple_tour(rng, rng.randint(3, 30)))
+    return tours
+
+
+def scaled(p: Point, f: float) -> Point:
+    return Point(p.x * f, p.y * f)
 
 
 def count_scans(monkeypatch) -> list:
@@ -370,7 +387,7 @@ class TestSplitPlan:
     def test_leaf_counts_match(self):
         for k in range(1, 13):
             plan = split_plan(k)
-            assert plan.root.leaf_count() == k
+            assert leaf_count(plan.root) == k
             assert plan.k == k
 
     def test_ratios_non_increasing(self):
@@ -472,15 +489,6 @@ class TestGuaranteedPartition:
             oracle = optimal_partition(inst, k)
             assert oracle.value <= heuristic.value + 1e-9
 
-    def test_reoptimize_only_improves(self):
-        rng = random.Random(67)
-        for _ in range(15):
-            inst = random_instance(rng, rng.randint(5, 10))
-            tour = optimal_tour(inst)
-            plain = guaranteed_partition(inst, tour, 3)
-            better = guaranteed_partition(inst, tour, 3, reoptimize=True)
-            assert better.value <= plain.value + 1e-9
-
     def test_matches_the_edge_scan_and_every_edge_width(self, monkeypatch):
         cases = [(tour, k) for tour in parity_tours() for k in PARITY_KS]
         fast = [guaranteed_partition(tour.vertices, tour, k) for tour, k in cases]
@@ -503,6 +511,24 @@ class TestGuaranteedPartition:
         for block, tour in zip(result.partition.blocks, result.tours):
             assert block[0] in tour.vertices
         assert result.value == 2.4018631658336846
+
+    def test_power_of_two_scaling_is_exact(self):
+        # Scaling by 2^e is exact, so every block, diagonal and the value
+        # must scale by exactly 2^e, far from unit size included.
+        for tour in scale_tours():
+            for k in (2, 3, 5, 8):
+                base = guaranteed_partition(tour.vertices, tour, k)
+                for f in (2.0**-900, 2.0**900):
+                    big = ClosedTour(tuple(scaled(p, f) for p in tour.vertices))
+                    got = guaranteed_partition(big.vertices, big, k)
+                    assert got.partition.blocks == tuple(
+                        tuple(scaled(p, f) for p in block) for block in base.partition.blocks
+                    )
+                    assert got.diagonals == tuple(
+                        Diagonal(scaled(d.p, f), scaled(d.q, f), d.t_p * f, d.t_q * f)
+                        for d in base.diagonals
+                    )
+                    assert got.value == base.value * f
 
     def test_more_leaves_than_points_drops_empty_blocks(self):
         tri = ClosedTour((Point(0, 0), Point(1, 0), Point(0.5, 0.8)))
