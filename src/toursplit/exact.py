@@ -8,6 +8,7 @@ ties by the lexicographically smallest labelling so results are stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,9 +54,16 @@ class Instance:
         return len(self.points)
 
     def distance_matrix(self) -> list[float]:
-        """Flat row-major Euclidean distance matrix."""
+        """Flat row-major Euclidean distance matrix.
+
+        Raises ValueError when a distance overflows, which the solver
+        kernels could not order.
+        """
         pts = self.points
-        return [a.distance_to(b) for a in pts for b in pts]
+        dist = [a.distance_to(b) for a in pts for b in pts]
+        if not all(map(math.isfinite, dist)):
+            raise ValueError("distances between the points overflow the float range")
+        return dist
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,9 @@ def optimal_tour(instance: Instance) -> ClosedTour:
         )
     if n == 1:
         return ClosedTour(instance.points)
-    _, order = kernels.shortest_cycle(instance.distance_matrix(), n)
+    length, order = kernels.shortest_cycle(instance.distance_matrix(), n)
+    if not math.isfinite(length):
+        raise ValueError("every tour through the points overflows the float range")
     return ClosedTour(tuple(instance.points[i] for i in order))
 
 
@@ -116,7 +126,11 @@ def tour_values_by_subset(instance: Instance) -> list[float]:
         raise CapacityError(
             f"subset tables are limited to {MAX_PARTITION_POINTS} points, got {n}"
         )
-    return kernels.cycle_lengths_by_subset(instance.distance_matrix(), n)
+    values = kernels.cycle_lengths_by_subset(instance.distance_matrix(), n)
+    # a subset's value is at most the whole set's, the last entry
+    if not math.isfinite(values[-1]):
+        raise ValueError("the tour through all the points overflows the float range")
+    return values
 
 
 def optimal_partition(instance: Instance, k: int) -> SolveResult:

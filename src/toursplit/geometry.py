@@ -69,6 +69,7 @@ class ClosedTour:
 
     The parametrization starts at ``vertices[0]`` and follows the stored
     vertex order; ``point_at(t)`` walks ``t`` length units along the curve.
+    A tour whose length overflows the float range is rejected.
     """
 
     vertices: tuple[Point, ...]
@@ -83,6 +84,8 @@ class ClosedTour:
         for i, a in enumerate(verts):
             b = verts[(i + 1) % len(verts)]
             cum.append(cum[-1] + a.distance_to(b))
+        if not math.isfinite(cum[-1]):
+            raise ValueError("the tour's length overflows the float range")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "length", cum[-1])
         object.__setattr__(self, "_cum", tuple(cum))
@@ -97,16 +100,19 @@ class ClosedTour:
         if self.length == 0.0:
             raise ValueError("point_at is undefined on a zero-length tour")
         t = t % self.length
-        i = bisect_right(self._cum, t) - 1
-        if i >= len(self.vertices):
-            i = len(self.vertices) - 1
+        i = min(bisect_right(self._cum, t) - 1, len(self.vertices) - 1)
+        return Point(*self._on_edge(i, t))
+
+    def _on_edge(self, i: int, t: float) -> tuple[float, float]:
+        """Coordinates at arclength ``t`` on edge ``i``, the edge that
+        ``point_at`` picks for ``t``; a zero-length edge gives its start."""
         a = self.vertices[i]
-        b = self.vertices[(i + 1) % len(self.vertices)]
         seg = self._cum[i + 1] - self._cum[i]
         if seg == 0.0:
-            return a
+            return a.x, a.y
+        b = self.vertices[(i + 1) % len(self.vertices)]
         f = (t - self._cum[i]) / seg
-        return Point(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
 
     def subcurve(self, t1: float, t2: float) -> tuple[Point, ...]:
         """The points of the open path from arclength ``t1`` forward to ``t2``.
@@ -172,10 +178,6 @@ class Diagonal:
         return self.p.distance_to(self.q)
 
 
-def _cross(o: tuple, a: tuple, b: tuple) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
     """Convex hull vertices in counterclockwise order, strictly convex.
 
@@ -196,16 +198,23 @@ def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
     eps = 1e-12 * math.hypot(dx * s, dy * s)
     # (scaled x, scaled y, x, y): the chain turns on the first pair
     chain = [(x * s, y * s, x, y) for x, y in pts]
-    lower: list[tuple] = []
-    for p in chain:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= eps:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple] = []
-    for p in reversed(chain):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= eps:
-            upper.pop()
-        upper.append(p)
+
+    def monotone(seq) -> list[tuple]:
+        """One half of the monotone chain: pop while o, a, p does not turn left."""
+        out: list[tuple] = []
+        for p in seq:
+            px, py = p[0], p[1]
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (py - o[1]) - (a[1] - o[1]) * (px - o[0]) <= eps:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = monotone(chain)
+    upper = monotone(reversed(chain))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:
         # all points collinear after tolerance pruning
@@ -233,32 +242,40 @@ def min_width(obj: Union[ClosedTour, Iterable[PointInput]]) -> tuple[float, Dire
         a, b = hull
         along = Direction(math.atan2(b.y - a.y, b.x - a.x))
         return 0.0, along.orthogonal()
+    xs = [p.x for p in hull]
+    ys = [p.y for p in hull]
+    pi, half_pi = math.pi, math.pi / 2.0
     best_w = math.inf
-    best_dir = Direction(0.0)
+    best_theta = 0.0
     j = 1
-    for i, a in enumerate(hull):
-        b = hull[(i + 1) % h]
-        normal = Direction(math.atan2(b.y - a.y, b.x - a.x)).orthogonal()
-        ux, uy = math.cos(normal.theta), math.sin(normal.theta)
-        base = a.x * ux + a.y * uy
+    for i in range(h):
+        i1 = (i + 1) % h
+        # the angle of Direction(atan2(...)).orthogonal(), without the objects
+        theta = (math.atan2(ys[i1] - ys[i], xs[i1] - xs[i]) % pi + half_pi) % pi
+        ux, uy = math.cos(theta), math.sin(theta)
+        base = xs[i] * ux + ys[i] * uy
         # Distance from edge i's line is unimodal around a convex hull, and
         # its peak never moves backwards as i advances.
         j = max(j, i + 1)
-        p = hull[j % h]
-        far = abs(p.x * ux + p.y * uy - base)
+        far_proj = xs[j % h] * ux + ys[j % h] * uy
+        far = abs(far_proj - base)
         while True:
-            p = hull[(j + 1) % h]
-            d = abs(p.x * ux + p.y * uy - base)
+            next_proj = xs[(j + 1) % h] * ux + ys[(j + 1) % h] * uy
+            d = abs(next_proj - base)
             if d <= far:
                 break
-            far = d
+            far_proj, far = next_proj, d
             j += 1
-        projs = [
-            hull[c % h].x * ux + hull[c % h].y * uy
-            for c in (i - 1, i, i + 1, i + 2, j - 1, j, j + 1)
-        ]
-        w = max(projs) - min(projs)
+        # max - min over edge i's endpoints, the far vertex j and their
+        # neighbours; reusing base and the far projections is exact
+        before = xs[i - 1] * ux + ys[i - 1] * uy
+        end = xs[i1] * ux + ys[i1] * uy
+        after = xs[(i + 2) % h] * ux + ys[(i + 2) % h] * uy
+        near = xs[(j - 1) % h] * ux + ys[(j - 1) % h] * uy
+        w = max(before, base, end, after, near, far_proj, next_proj) - min(
+            before, base, end, after, near, far_proj, next_proj
+        )
         if w < best_w:
             best_w = w
-            best_dir = normal
-    return best_w, best_dir
+            best_theta = theta
+    return best_w, Direction(best_theta)

@@ -60,7 +60,28 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
         | {(s - x) % ell for s in tour.vertex_arclengths}
     )
     s = _unit_scale(ell)
-    values = [f(b) * s for b in breaks]
+    # f at each break, as point_at would give it: two edge pointers walk the
+    # cumulative lengths forward, and move back only where t + x wraps past
+    # the tour's start (or b rounds up to ell).
+    cum = tour._cum
+    last = len(tour.vertices) - 1
+    on_edge = tour._on_edge
+    values = []
+    i = j = 0
+    for b in breaks:
+        tp = b % ell
+        tq = (b + x) % ell
+        if tp < cum[i]:
+            i = 0
+        while i < last and cum[i + 1] <= tp:
+            i += 1
+        if tq < cum[j]:
+            j = 0
+        while j < last and cum[j + 1] <= tq:
+            j += 1
+        px, py = on_edge(i, tp)
+        qx, qy = on_edge(j, tq)
+        values.append(((qx - px) * ux + (qy - py) * uy) * s)
     zero_tol = 1e-12 * ell * s
     roots = []
     m = len(breaks)

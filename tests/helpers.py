@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and instance generators.
 
 The oracles here are deliberately naive (permutation and set-partition
-enumeration, per-point edge scans, every-edge width projections) so they
-stay independent of the library's solver paths.
+enumeration, per-point edge scans, every-edge width projections, a chord
+search that locates every breakpoint by bisection) so they stay
+independent of the library's solver paths.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import itertools
 import math
 import random
 
-from toursplit import ClosedTour, Direction, Instance, Point, convex_hull
+from toursplit import ChordSearchError, ClosedTour, Direction, Instance, Point, convex_hull
+from toursplit.geometry import _unit_scale
 
 
 def dist(a, b) -> float:
@@ -136,6 +138,52 @@ def naive_min_width(obj):
         if w < best_w:
             best_w, best_dir = w, normal
     return best_w, best_dir
+
+
+def naive_chord_at_arclength(tour: ClosedTour, x: float, u) -> float:
+    """The chord search with f evaluated by two ``point_at`` calls per break."""
+    ell = tour.length
+    if ell <= 0.0:
+        raise ValueError("chord search needs a tour of positive length")
+    if not 0.0 < x < ell:
+        raise ValueError(f"arclength offset must be in (0, {ell}), got {x}")
+    ux, uy = u
+    norm = math.hypot(ux, uy)
+    if norm == 0.0:
+        raise ValueError("projection vector must be nonzero")
+    ux, uy = ux / norm, uy / norm
+
+    def f(t: float) -> float:
+        p = tour.point_at(t)
+        q = tour.point_at(t + x)
+        return (q.x - p.x) * ux + (q.y - p.y) * uy
+
+    breaks = sorted(
+        {s % ell for s in tour.vertex_arclengths}
+        | {(s - x) % ell for s in tour.vertex_arclengths}
+    )
+    s = _unit_scale(ell)
+    values = [f(b) * s for b in breaks]
+    zero_tol = 1e-12 * ell * s
+    roots = []
+    m = len(breaks)
+    for i in range(m):
+        f0 = values[i]
+        if abs(f0) <= zero_tol:
+            roots.append(breaks[i])
+            continue
+        b1 = breaks[(i + 1) % m]
+        f1 = values[(i + 1) % m]
+        if i + 1 == m:
+            b1 += ell
+        if f0 * f1 < 0.0:
+            roots.append(breaks[i] + (b1 - breaks[i]) * f0 / (f0 - f1))
+    if not roots:
+        raise ChordSearchError("no sign change found in the chord projection")
+    t = min(r % ell for r in roots)
+    if abs(f(t)) > 1e-9 * ell:
+        raise ChordSearchError(f"chord root residual too large: {f(t)}")
+    return t
 
 
 def projection_width(points, theta: float) -> float:

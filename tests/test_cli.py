@@ -180,6 +180,32 @@ class TestSplit:
         assert "verification failed: forced failure" in capsys.readouterr().err
 
 
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.6e308 0\n0 1.6e308\n0 0\n",  # a distance overflows
+            "1e308 0\n-1e308 0\n",  # on a line
+            "1e308 0\n0 0\n",  # finite distances, every tour overflows
+        ],
+    )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tsp"],
+            ["split", "-k", "2"],
+            ["split", "-k", "2", "--strategy", "exact"],
+            ["split", "-k", "1", "--strategy", "exact"],
+        ],
+    )
+    def test_overflowing_lengths_exit_2(self, tmp_path, capsys, text, args):
+        path = write(tmp_path, "far.txt", text)
+        code = main(args[:1] + [path] + args[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "overflow" in err
+
+
 class TestBounds:
     def test_k_max_2_golden(self, capsys):
         code, out = run(capsys, ["bounds", "2"])

@@ -52,6 +52,13 @@ class TestInstance:
         assert optimal_tour(doubled).length == optimal_tour(inst).length
 
 
+    def test_overflowing_distance_rejected(self):
+        # the kernels never see an infinite distance
+        inst = Instance.from_points([(1.6e308, 0), (0, 1.6e308), (0, 0)])
+        with pytest.raises(ValueError, match="overflow"):
+            inst.distance_matrix()
+
+
 class TestOptimalTour:
     def test_unit_square(self):
         assert optimal_tour(square_instance()).length == pytest.approx(4.0)

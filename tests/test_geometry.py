@@ -70,6 +70,10 @@ class TestTourLength:
     def test_two_points_out_and_back(self):
         assert ClosedTour((Point(0, 0), Point(2, 0))).length == pytest.approx(4.0)
 
+    def test_overflowing_length_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            ClosedTour((Point(1e308, 0), Point(0, 0)))
+
 
 class TestPointAt:
     def test_origin(self):

@@ -12,11 +12,13 @@ from helpers import (
     ellipse_tour,
     leaf_count,
     naive_assign_points,
+    naive_chord_at_arclength,
     naive_min_width,
     random_instance,
     random_simple_tour,
 )
 from toursplit import (
+    ChordSearchError,
     ClosedTour,
     Diagonal,
     Instance,
@@ -72,6 +74,33 @@ def scale_tours() -> list[ClosedTour]:
     return tours
 
 
+def chord_tours() -> list[ClosedTour]:
+    """Seeded star-shaped and ellipse tours at m = 100-1000, small tours at
+    three scales, and tours with zero-length edges or a closing repeat."""
+    tours = []
+    for m in (100, 300, 1000):
+        tours.append(random_simple_tour(random.Random(m), m))
+        tours.append(ellipse_tour(random.Random(m), m))
+    rng = random.Random(83)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(20):
+            tours.append(random_simple_tour(rng, rng.randint(3, 30), scale))
+    for _ in range(20):
+        verts = list(random_simple_tour(rng, rng.randint(3, 12)).vertices)
+        i = rng.randrange(len(verts))
+        verts.insert(i, verts[i])
+        tours.append(ClosedTour(tuple(verts)))
+        tours.append(ClosedTour(tuple(verts[i:] + verts[:i + 1])))
+    return tours
+
+
+def chord_outcome(search, tour: ClosedTour, x: float, u) -> object:
+    try:
+        return search(tour, x, u)
+    except ChordSearchError as exc:
+        return repr(exc)
+
+
 def scaled(p: Point, f: float) -> Point:
     return Point(p.x * f, p.y * f)
 
@@ -87,6 +116,38 @@ def count_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(ClosedTour, "arclength_of", counted)
     return calls
+
+
+@st.composite
+def degenerate_tours(draw) -> ClosedTour:
+    """Collinear tours, tours through repeated vertices, duplicate-heavy grids."""
+    kind = draw(st.sampled_from(["collinear", "repeated", "grid"]))
+    if kind == "collinear":
+        dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)]))
+        steps = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
+        return ClosedTour(tuple(Point(t * dx, t * dy) for t in steps))
+    if kind == "repeated":
+        coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+        base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=10, unique=True))
+        extra = draw(st.lists(st.integers(0, len(base) - 1), max_size=8))
+        order = draw(st.permutations(list(range(len(base))) + extra))
+        return ClosedTour(tuple(Point(*base[i]) for i in order))
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return ClosedTour(tuple(Point(*c) for c in draw(st.lists(cells, min_size=1, max_size=20))))
+
+
+class TestGuaranteeProperties:
+    @given(degenerate_tours(), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_guarantees_hold_on_degenerate_tours(self, tour, k):
+        # k runs past the number of distinct points and up to 64
+        result = guaranteed_partition(tour.vertices, tour, k)
+        ell = tour.length
+        assert all(d.length <= ell * INV_PI * (1 + 1e-9) for d in result.diagonals)
+        bound = split_plan(k).ratio * ell * (1 + 1e-9)
+        assert all(t.length <= bound for t in result.tours)
+        covered = sorted((p.x, p.y) for block in result.partition.blocks for p in block)
+        assert covered == sorted(set((p.x, p.y) for p in tour.vertices))
 
 
 class TestChordSearch:
@@ -139,6 +200,48 @@ class TestChordSearch:
                 f = ((q.x - p.x) * ux + (q.y - p.y) * uy) / norm
                 if abs(f) <= 1e-9 * tour.length:
                     assert s == pytest.approx(t, abs=1e-9 * tour.length)
+
+    def test_matches_the_point_at_search(self):
+        # bit for bit, failures included, against the search that bisects
+        # for both ends of every break
+        for tour in chord_tours():
+            ell = tour.length
+            offsets = (math.ulp(ell), 1e-9 * ell, 0.3 * ell, 0.5 * ell,
+                       (1 - 1e-9) * ell, ell - math.ulp(ell))
+            for x in offsets:
+                for u in ((1.0, 0.0), (0.37, -0.93)):
+                    got = chord_outcome(chord_at_arclength, tour, x, u)
+                    assert got == chord_outcome(naive_chord_at_arclength, tour, x, u)
+
+    def test_breaks_are_walked_without_point_at(self, monkeypatch):
+        # point_at bisects for every call; inside a search only the residual
+        # check may use it, twice
+        tour = ellipse_tour(random.Random(10_000), 10_000)
+        calls: list[int] = []
+        searching = [False]
+        point_at = ClosedTour.point_at
+        search = splitting.chord_at_arclength
+
+        def counted_point_at(self, t):
+            if searching[0]:
+                calls[-1] += 1
+            return point_at(self, t)
+
+        def counted_search(tour, x, u):
+            calls.append(0)
+            searching[0] = True
+            try:
+                return search(tour, x, u)
+            finally:
+                searching[0] = False
+
+        monkeypatch.setattr(ClosedTour, "point_at", counted_point_at)
+        monkeypatch.setattr(splitting, "chord_at_arclength", counted_search)
+        result = guaranteed_partition(tour.vertices, tour, 8)
+        assert calls == [2] * 7
+        bound = split_plan(8).ratio * tour.length
+        assert all(t.length <= bound + 1e-9 for t in result.tours)
+        assert all(d.length <= tour.length * INV_PI + 1e-9 for d in result.diagonals)
 
 
 class TestShortDiagonal:
@@ -494,6 +597,7 @@ class TestGuaranteedPartition:
         fast = [guaranteed_partition(tour.vertices, tour, k) for tour, k in cases]
         monkeypatch.setattr(splitting, "assign_points", naive_assign_points)
         monkeypatch.setattr(splitting, "min_width", naive_min_width)
+        monkeypatch.setattr(splitting, "chord_at_arclength", naive_chord_at_arclength)
         for (tour, k), got in zip(cases, fast):
             ref = guaranteed_partition(tour.vertices, tour, k)
             assert got.partition == ref.partition
