@@ -39,6 +39,7 @@ from .geometry import (
 from .kernels import BACKEND as SOLVER_BACKEND
 from .splitting import (
     BoundsRow,
+    MAX_SPLIT_K,
     ChordSearchError,
     PlanNode,
     SplitPlan,
@@ -68,6 +69,7 @@ __all__ = [
     "Instance",
     "MAX_EXACT_POINTS",
     "MAX_PARTITION_POINTS",
+    "MAX_SPLIT_K",
     "Partition",
     "PlanNode",
     "Point",

@@ -69,7 +69,7 @@ def _read_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return Instance.from_points(parse_instance_text(text, source=path))
 
@@ -156,9 +156,9 @@ def cmd_tsp(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     if args.strategy == "guaranteed":
+        plan = split_plan(args.k)
         tour = optimal_tour(instance)
         result = guaranteed_partition(instance, tour, args.k)
-        plan = split_plan(args.k)
         extra = {"k": args.k, "strategy": "guaranteed", "bound": plan.ratio * tour.length}
         guarantee = plan.ratio
         optimal_length = tour.length

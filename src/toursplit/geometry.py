@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,83 @@ class Direction:
         return Direction(self.theta + math.pi / 2.0)
 
 
+def _cumulative(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    """Arclength at each vertex of a closed coordinate list, then the length.
+
+    ``xs`` and ``ys`` repeat the first vertex at the end, so entry ``i`` and
+    ``i + 1`` bound edge ``i``.  A length that overflows the float range is
+    rejected.
+    """
+    edges = map(math.hypot, map(sub, xs, xs[1:]), map(sub, ys, ys[1:]))
+    cum = list(accumulate(edges, initial=0.0))
+    if not math.isfinite(cum[-1]):
+        raise ValueError("the tour's length overflows the float range")
+    return cum
+
+
+def _point_at(
+    xs: Sequence[float], ys: Sequence[float], cum: Sequence[float], t: float
+) -> tuple[float, float]:
+    """Coordinates at arclength ``t`` (modulo the length) on a closed curve
+    of positive length; a zero-length edge gives its start."""
+    t = t % cum[-1]
+    i = min(bisect_right(cum, t) - 1, len(cum) - 2)
+    seg = cum[i + 1] - cum[i]
+    if seg == 0.0:
+        return xs[i], ys[i]
+    f = (t - cum[i]) / seg
+    return xs[i] + f * (xs[i + 1] - xs[i]), ys[i] + f * (ys[i + 1] - ys[i])
+
+
+def _subpath(
+    xs: Sequence[float], ys: Sequence[float], cum: Sequence[float], t1: float, t2: float
+) -> tuple[tuple[float, float], list[int], Optional[tuple[float, float]]]:
+    """The open path from arclength ``t1`` forward to ``t2`` on a closed curve
+    of positive length: its start, the indices of the vertices strictly
+    inside it in path order, and its end (None when the span is zero)."""
+    ell = cum[-1]
+    start = t1 % ell
+    span = (t2 - t1) % ell
+    first = _point_at(xs, ys, cum, start)
+    if span == 0.0:
+        return first, [], None
+    rel = [(s - start) % ell for s in cum[:-1]]
+    inside = [i for i, r in enumerate(rel) if 0.0 < r < span]
+    # a stable sort by rel keeps ties in index order
+    inside.sort(key=rel.__getitem__)
+    return first, inside, _point_at(xs, ys, cum, start + span)
+
+
+def _locate(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    cum: Sequence[float],
+    px: float,
+    py: float,
+    tol: float,
+) -> float:
+    """Smallest arclength at which (px, py) lies on the curve within ``tol``,
+    by a scan over every edge."""
+    # one factor of each quadratic term is scaled to the tour's size, so
+    # the dot product and seg^2 neither overflow nor underflow
+    s = _unit_scale(cum[-1])
+    for i in range(len(cum) - 1):
+        ax, ay = xs[i], ys[i]
+        seg = cum[i + 1] - cum[i]
+        if seg == 0.0:
+            if math.hypot(px - ax, py - ay) <= tol:
+                return cum[i]
+            continue
+        dx, dy = (px - ax) * s, (py - ay) * s
+        bx, by = xs[i + 1] - ax, ys[i + 1] - ay
+        f = (dx * bx + dy * by) / (seg * s * seg)
+        f = 0.0 if f < 0.0 else (1.0 if f > 1.0 else f)
+        cx, cy = ax + f * bx, ay + f * by
+        if math.hypot(px - cx, py - cy) <= tol:
+            return cum[i] + f * seg
+    raise ValueError(f"point ({px}, {py}) does not lie on the tour")
+
+
 @dataclass(frozen=True)
 class ClosedTour:
     """A closed polygonal curve traversed cyclically through its vertices.
@@ -75,20 +154,22 @@ class ClosedTour:
     vertices: tuple[Point, ...]
     length: float = field(init=False, compare=False)
     _cum: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    # vertex coordinates with the first vertex repeated at the end
+    _xs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _ys: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         verts = _as_points(self.vertices)
         if not verts:
             raise ValueError("a closed tour needs at least one vertex")
-        cum = [0.0]
-        for i, a in enumerate(verts):
-            b = verts[(i + 1) % len(verts)]
-            cum.append(cum[-1] + a.distance_to(b))
-        if not math.isfinite(cum[-1]):
-            raise ValueError("the tour's length overflows the float range")
+        xs = tuple(p.x for p in verts + verts[:1])
+        ys = tuple(p.y for p in verts + verts[:1])
+        cum = _cumulative(xs, ys)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "length", cum[-1])
         object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
 
     @property
     def vertex_arclengths(self) -> tuple[float, ...]:
@@ -99,20 +180,7 @@ class ClosedTour:
         """The point at arclength ``t`` (taken modulo the tour length)."""
         if self.length == 0.0:
             raise ValueError("point_at is undefined on a zero-length tour")
-        t = t % self.length
-        i = min(bisect_right(self._cum, t) - 1, len(self.vertices) - 1)
-        return Point(*self._on_edge(i, t))
-
-    def _on_edge(self, i: int, t: float) -> tuple[float, float]:
-        """Coordinates at arclength ``t`` on edge ``i``, the edge that
-        ``point_at`` picks for ``t``; a zero-length edge gives its start."""
-        a = self.vertices[i]
-        seg = self._cum[i + 1] - self._cum[i]
-        if seg == 0.0:
-            return a.x, a.y
-        b = self.vertices[(i + 1) % len(self.vertices)]
-        f = (t - self._cum[i]) / seg
-        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
+        return Point(*_point_at(self._xs, self._ys, self._cum, t))
 
     def subcurve(self, t1: float, t2: float) -> tuple[Point, ...]:
         """The points of the open path from arclength ``t1`` forward to ``t2``.
@@ -122,19 +190,10 @@ class ClosedTour:
         """
         if self.length == 0.0:
             raise ValueError("subcurve is undefined on a zero-length tour")
-        start = t1 % self.length
-        span = (t2 - t1) % self.length
-        first = self.point_at(start)
-        if span == 0.0:
-            return (first,)
-        interior = []
-        for idx, s in enumerate(self._cum[:-1]):
-            rel = (s - start) % self.length
-            if 0.0 < rel < span:
-                interior.append((rel, idx))
-        interior.sort()
-        pts = [first] + [self.vertices[idx] for _, idx in interior] + [self.point_at(start + span)]
-        return tuple(pts)
+        first, inside, last = _subpath(self._xs, self._ys, self._cum, t1, t2)
+        if last is None:
+            return (Point(*first),)
+        return (Point(*first),) + tuple(self.vertices[i] for i in inside) + (Point(*last),)
 
     def arclength_of(self, pt: Point, tol: float) -> float:
         """Smallest arclength at which ``pt`` lies on the curve, within ``tol``.
@@ -142,26 +201,7 @@ class ClosedTour:
         Raises ValueError when the point is farther than ``tol`` from every
         edge.
         """
-        m = len(self.vertices)
-        # one factor of each quadratic term is scaled to the tour's size, so
-        # the dot product and seg^2 neither overflow nor underflow
-        s = _unit_scale(self.length)
-        for i in range(m):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % m]
-            seg = self._cum[i + 1] - self._cum[i]
-            if seg == 0.0:
-                if pt.distance_to(a) <= tol:
-                    return self._cum[i]
-                continue
-            ax, ay = (pt.x - a.x) * s, (pt.y - a.y) * s
-            bx, by = b.x - a.x, b.y - a.y
-            f = (ax * bx + ay * by) / (seg * s * seg)
-            f = 0.0 if f < 0.0 else (1.0 if f > 1.0 else f)
-            cx, cy = a.x + f * bx, a.y + f * by
-            if math.hypot(pt.x - cx, pt.y - cy) <= tol:
-                return self._cum[i] + f * seg
-        raise ValueError(f"point ({pt.x}, {pt.y}) does not lie on the tour")
+        return _locate(self._xs, self._ys, self._cum, pt.x, pt.y, tol)
 
 
 @dataclass(frozen=True)
@@ -178,19 +218,13 @@ class Diagonal:
         return self.p.distance_to(self.q)
 
 
-def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
-    """Convex hull vertices in counterclockwise order, strictly convex.
-
-    Duplicate points are dropped.  Collinear input reduces to the two
-    extreme points; a single point is returned as is.  The turn tests run
-    on the coordinates scaled to the bounding box's size, so their cross
-    products neither overflow nor underflow.
-    """
-    pts = sorted(set((p.x, p.y) for p in _as_points(points)))
+def _hull(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Convex hull of coordinate pairs, as ``convex_hull`` describes it."""
+    pts = sorted(set(pairs))
     if not pts:
         raise ValueError("need at least one point")
     if len(pts) <= 2:
-        return tuple(Point(x, y) for x, y in pts)
+        return pts
     dx = pts[-1][0] - pts[0][0]
     ys = [y for _, y in pts]
     dy = max(ys) - min(ys)
@@ -219,7 +253,76 @@ def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
     if len(hull) < 2:
         # all points collinear after tolerance pruning
         hull = [chain[0], chain[-1]]
-    return tuple(Point(p[2], p[3]) for p in hull)
+    return [(p[2], p[3]) for p in hull]
+
+
+def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
+    """Convex hull vertices in counterclockwise order, strictly convex.
+
+    Duplicate points are dropped.  Collinear input reduces to the two
+    extreme points; a single point is returned as is.  The turn tests run
+    on the coordinates scaled to the bounding box's size, so their cross
+    products neither overflow nor underflow.
+    """
+    return tuple(Point(x, y) for x, y in _hull((p.x, p.y) for p in _as_points(points)))
+
+
+def _min_width(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Minimum width of coordinate pairs and the angle in [0, pi) of an
+    achieving direction, as ``min_width`` describes them."""
+    hull = _hull(pairs)
+    h = len(hull)
+    pi, half_pi = math.pi, math.pi / 2.0
+    if h == 1:
+        return 0.0, 0.0
+    if h == 2:
+        (ax, ay), (bx, by) = hull
+        # the angle of Direction(atan2(...)).orthogonal(), without the objects
+        return 0.0, (math.atan2(by - ay, bx - ax) % pi + half_pi) % pi
+    # two rounds of the hull, so index i + h is vertex i again: the far
+    # pointer j stays below i + h, where the distance is back to zero
+    xs = [x for x, _ in hull] * 2
+    ys = [y for _, y in hull] * 2
+    atan2, cos, sin = math.atan2, math.cos, math.sin
+    best_w = math.inf
+    best_theta = 0.0
+    j = 1
+    for i in range(h):
+        x0, y0 = xs[i], ys[i]
+        x1, y1 = xs[i + 1], ys[i + 1]
+        theta = (atan2(y1 - y0, x1 - x0) % pi + half_pi) % pi
+        ux, uy = cos(theta), sin(theta)
+        base = x0 * ux + y0 * uy
+        # Distance from edge i's line is unimodal around a convex hull, and
+        # its peak never moves backwards as i advances.
+        if j <= i:
+            j = i + 1
+        far_proj = xs[j] * ux + ys[j] * uy
+        far = abs(far_proj - base)
+        while True:
+            next_proj = xs[j + 1] * ux + ys[j + 1] * uy
+            d = abs(next_proj - base)
+            if d <= far:
+                break
+            far_proj, far = next_proj, d
+            j += 1
+        # max - min below is at least |far_proj - base| = far, rounding
+        # being monotone, so an edge with far >= best_w cannot win
+        if far >= best_w:
+            continue
+        # max - min over edge i's endpoints, the far vertex j and their
+        # neighbours; reusing base and the far projections is exact
+        before = xs[i - 1] * ux + ys[i - 1] * uy
+        end = x1 * ux + y1 * uy
+        after = xs[i + 2] * ux + ys[i + 2] * uy
+        near = xs[j - 1] * ux + ys[j - 1] * uy
+        w = max(before, base, end, after, near, far_proj, next_proj) - min(
+            before, base, end, after, near, far_proj, next_proj
+        )
+        if w < best_w:
+            best_w = w
+            best_theta = theta
+    return best_w, best_theta
 
 
 def min_width(obj: Union[ClosedTour, Iterable[PointInput]]) -> tuple[float, Direction]:
@@ -234,48 +337,9 @@ def min_width(obj: Union[ClosedTour, Iterable[PointInput]]) -> tuple[float, Dire
     extremes that rounding moves by one vertex, so the result is the same
     to the bit as projecting every hull vertex.
     """
-    hull = convex_hull(obj.vertices if isinstance(obj, ClosedTour) else obj)
-    h = len(hull)
-    if h == 1:
-        return 0.0, Direction(0.0)
-    if h == 2:
-        a, b = hull
-        along = Direction(math.atan2(b.y - a.y, b.x - a.x))
-        return 0.0, along.orthogonal()
-    xs = [p.x for p in hull]
-    ys = [p.y for p in hull]
-    pi, half_pi = math.pi, math.pi / 2.0
-    best_w = math.inf
-    best_theta = 0.0
-    j = 1
-    for i in range(h):
-        i1 = (i + 1) % h
-        # the angle of Direction(atan2(...)).orthogonal(), without the objects
-        theta = (math.atan2(ys[i1] - ys[i], xs[i1] - xs[i]) % pi + half_pi) % pi
-        ux, uy = math.cos(theta), math.sin(theta)
-        base = xs[i] * ux + ys[i] * uy
-        # Distance from edge i's line is unimodal around a convex hull, and
-        # its peak never moves backwards as i advances.
-        j = max(j, i + 1)
-        far_proj = xs[j % h] * ux + ys[j % h] * uy
-        far = abs(far_proj - base)
-        while True:
-            next_proj = xs[(j + 1) % h] * ux + ys[(j + 1) % h] * uy
-            d = abs(next_proj - base)
-            if d <= far:
-                break
-            far_proj, far = next_proj, d
-            j += 1
-        # max - min over edge i's endpoints, the far vertex j and their
-        # neighbours; reusing base and the far projections is exact
-        before = xs[i - 1] * ux + ys[i - 1] * uy
-        end = xs[i1] * ux + ys[i1] * uy
-        after = xs[(i + 2) % h] * ux + ys[(i + 2) % h] * uy
-        near = xs[(j - 1) % h] * ux + ys[(j - 1) % h] * uy
-        w = max(before, base, end, after, near, far_proj, next_proj) - min(
-            before, base, end, after, near, far_proj, next_proj
-        )
-        if w < best_w:
-            best_w = w
-            best_theta = theta
-    return best_w, Direction(best_theta)
+    if isinstance(obj, ClosedTour):
+        pairs = zip(obj._xs, obj._ys)
+    else:
+        pairs = ((p.x, p.y) for p in _as_points(obj))
+    w, theta = _min_width(pairs)
+    return w, Direction(theta)

@@ -13,13 +13,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .circle import circle_limit_ratio
-from .exact import Instance, Partition, SolveResult
-from .geometry import ClosedTour, Diagonal, Point, _as_points, _unit_scale, min_width
+from .exact import CapacityError, Instance, Partition, SolveResult
+from .geometry import (
+    ClosedTour,
+    Diagonal,
+    Point,
+    _as_points,
+    _cumulative,
+    _locate,
+    _min_width,
+    _point_at,
+    _subpath,
+    _unit_scale,
+)
 
 INV_PI = 1.0 / math.pi
+
+# The largest k that split_plan accepts.  Building a plan takes Theta(k^2)
+# time; cold, k = 1000 takes about 0.9 s in pure Python (2-core x86_64,
+# Python 3.11), so a larger k would stall the CLI without a message.
+MAX_SPLIT_K = 1000
 
 # Candidate decompositions within this of each other are treated as equal,
 # keeping the product label on exact mathematical ties.
@@ -30,16 +46,19 @@ class ChordSearchError(RuntimeError):
     """No chord root was found; this contradicts the existence guarantee."""
 
 
-def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> float:
-    """Smallest t where the chord from c(t) to c(t+x) is orthogonal to u.
+def _chord_root(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    cum: Sequence[float],
+    x: float,
+    u: tuple[float, float],
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """The chord search of ``chord_at_arclength`` on a closed flat curve
+    (``xs``/``ys`` repeat the first vertex, ``cum`` ends with the length).
 
-    The projection f(t) = (c(t+x) - c(t)) . u is piecewise linear with
-    breakpoints where either endpoint crosses a tour vertex, so roots are
-    found by scanning breakpoints for sign changes and interpolating.  The
-    scan works on f scaled to the tour's length, so neither the sign test
-    nor the interpolation overflows or underflows.
+    Returns the root t and the coordinates at t and at t + x.
     """
-    ell = tour.length
+    ell = cum[-1]
     if ell <= 0.0:
         raise ValueError("chord search needs a tour of positive length")
     if not 0.0 < x < ell:
@@ -50,27 +69,47 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
         raise ValueError("projection vector must be nonzero")
     ux, uy = ux / norm, uy / norm
 
-    def f(t: float) -> float:
-        p = tour.point_at(t)
-        q = tour.point_at(t + x)
-        return (q.x - p.x) * ux + (q.y - p.y) * uy
-
-    breaks = sorted(
-        {s % ell for s in tour.vertex_arclengths}
-        | {(s - x) % ell for s in tour.vertex_arclengths}
-    )
+    # Breaks where either end crosses a vertex.  A repeated break adds an
+    # empty interval, where f takes one value twice and finds no new root,
+    # so the list is sorted as built, a few sorted runs, without a set.
+    arcs = cum[:-1]
+    breaks = [s % ell for s in arcs]
+    breaks += [(s - x) % ell for s in arcs]
+    breaks.sort()
     s = _unit_scale(ell)
-    # f at each break, as point_at would give it: two edge pointers walk the
+    zero_tol = 1e-12 * ell * s
+
+    def f(t: float) -> float:
+        px, py = _point_at(xs, ys, cum, t)
+        qx, qy = _point_at(xs, ys, cum, t + x)
+        return (qx - px) * ux + (qy - py) * uy
+
+    # The wrap interval [breaks[-1], breaks[0] + ell] goes first: its root,
+    # taken mod ell, can be the smallest.
+    first, top = breaks[0], breaks[-1]
+    f_first, f_top = f(first) * s, f(top) * s
+    best = math.inf
+    if abs(f_top) <= zero_tol:
+        best = top % ell
+    elif f_top * f_first < 0.0:
+        best = (top + (first + ell - top) * f_top / (f_top - f_first)) % ell
+    # Any other root r is at least its interval's start b, since the step
+    # added to b is never negative.  It passes the interval's end by a few
+    # ulps at most (|f0| > zero_tol bounds the quotient's underflow), so
+    # while the last break stays this far below ell, r < ell and r % ell is
+    # r: the walk can stop at the first b >= best.
+    can_stop = top < ell - (16.0 * math.ulp(ell) + 2.0**-1000)
+    # f at each break, as point_at gives it: two edge pointers walk the
     # cumulative lengths forward, and move back only where t + x wraps past
     # the tour's start (or b rounds up to ell).
-    cum = tour._cum
-    last = len(tour.vertices) - 1
-    on_edge = tour._on_edge
-    values = []
+    last = len(arcs) - 1
     i = j = 0
-    for b in breaks:
-        tp = b % ell
-        tq = (b + x) % ell
+    b0, f0 = first, f_first
+    for b1 in breaks[1:]:
+        if b0 >= best and can_stop:
+            break
+        tp = b1 % ell
+        tq = (b1 + x) % ell
         if tp < cum[i]:
             i = 0
         while i < last and cum[i + 1] <= tp:
@@ -79,29 +118,60 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
             j = 0
         while j < last and cum[j + 1] <= tq:
             j += 1
-        px, py = on_edge(i, tp)
-        qx, qy = on_edge(j, tq)
-        values.append(((qx - px) * ux + (qy - py) * uy) * s)
-    zero_tol = 1e-12 * ell * s
-    roots = []
-    m = len(breaks)
-    for i in range(m):
-        f0 = values[i]
+        c0 = cum[i]
+        seg = cum[i + 1] - c0
+        if seg == 0.0:
+            px, py = xs[i], ys[i]
+        else:
+            w = (tp - c0) / seg
+            px, py = xs[i] + w * (xs[i + 1] - xs[i]), ys[i] + w * (ys[i + 1] - ys[i])
+        c0 = cum[j]
+        seg = cum[j + 1] - c0
+        if seg == 0.0:
+            qx, qy = xs[j], ys[j]
+        else:
+            w = (tq - c0) / seg
+            qx, qy = xs[j] + w * (xs[j + 1] - xs[j]), ys[j] + w * (ys[j + 1] - ys[j])
+        f1 = ((qx - px) * ux + (qy - py) * uy) * s
         if abs(f0) <= zero_tol:
-            roots.append(breaks[i])
-            continue
-        b1 = breaks[(i + 1) % m]
-        f1 = values[(i + 1) % m]
-        if i + 1 == m:
-            b1 += ell
-        if f0 * f1 < 0.0:
-            roots.append(breaks[i] + (b1 - breaks[i]) * f0 / (f0 - f1))
-    if not roots:
+            best = min(best, b0 % ell)
+        elif f0 * f1 < 0.0:
+            best = min(best, (b0 + (b1 - b0) * f0 / (f0 - f1)) % ell)
+        b0, f0 = b1, f1
+    if best == math.inf:
         raise ChordSearchError("no sign change found in the chord projection")
-    t = min(r % ell for r in roots)
-    if abs(f(t)) > 1e-9 * ell:
-        raise ChordSearchError(f"chord root residual too large: {f(t)}")
-    return t
+    t = best
+    p = _point_at(xs, ys, cum, t)
+    q = _point_at(xs, ys, cum, t + x)
+    residual = (q[0] - p[0]) * ux + (q[1] - p[1]) * uy
+    if abs(residual) > 1e-9 * ell:
+        raise ChordSearchError(f"chord root residual too large: {residual}")
+    return t, p, q
+
+
+def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> float:
+    """Smallest t where the chord from c(t) to c(t+x) is orthogonal to u.
+
+    The projection f(t) = (c(t+x) - c(t)) . u is piecewise linear with
+    breakpoints where either endpoint crosses a tour vertex, so roots are
+    found by scanning breakpoints for sign changes and interpolating.  The
+    scan works on f scaled to the tour's length, so neither the sign test
+    nor the interpolation overflows or underflows, and stops at the first
+    breakpoint past the smallest root found.
+    """
+    return _chord_root(tour._xs, tour._ys, tour._cum, x, u)[0]
+
+
+def _cut(
+    xs: Sequence[float], ys: Sequence[float], cum: Sequence[float], x: float
+) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
+    """``short_diagonal`` on a closed flat curve: (t_p, t_q, p, q)."""
+    _, theta = _min_width(zip(xs, ys))
+    # the unit vector of Direction(theta).orthogonal()
+    phi = (theta + math.pi / 2.0) % math.pi
+    t, p, q = _chord_root(xs, ys, cum, x, (math.cos(phi), math.sin(phi)))
+    # t + x >= 0, so the residual check's point at t + x is the one at t_q
+    return t, (t + x) % cum[-1], p, q
 
 
 def short_diagonal(tour: ClosedTour, x: float) -> Diagonal:
@@ -110,10 +180,8 @@ def short_diagonal(tour: ClosedTour, x: float) -> Diagonal:
     The chord is taken parallel to the minimum-width direction of the
     tour's hull, so its length is bounded by that width.
     """
-    _, direction = min_width(tour)
-    t = chord_at_arclength(tour, x, direction.orthogonal().unit)
-    t_q = (t + x) % tour.length
-    return Diagonal(p=tour.point_at(t), q=tour.point_at(t_q), t_p=t, t_q=t_q)
+    t_p, t_q, p, q = _cut(tour._xs, tour._ys, tour._cum, x)
+    return Diagonal(p=Point(*p), q=Point(*q), t_p=t_p, t_q=t_q)
 
 
 @dataclass(frozen=True)
@@ -125,6 +193,32 @@ class SplitResult:
     tour2: ClosedTour
     points1: tuple[Point, ...]
     points2: tuple[Point, ...]
+
+
+def _sides(
+    cum: Sequence[float],
+    ids: Sequence[int],
+    t_p: float,
+    t_q: float,
+    keys: Iterable[int],
+    locate: Callable[[int], float],
+) -> list[bool]:
+    """For each key, whether its point lies on the cut's first side.
+
+    ``ids`` holds a key per vertex (-1 for none).  A key found there reads
+    its arclength at its first vertex occurrence; any other is placed by
+    ``locate(key)``.  The first side is [t_p, t_q) cyclically.
+    """
+    ell = cum[-1]
+    span = (t_q - t_p) % ell
+    # filled backwards, so each key keeps its first position
+    at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    sides = []
+    for key in keys:
+        i = at.get(key)
+        s = cum[i] if i is not None else locate(key)
+        sides.append((s - t_p) % ell < span)
+    return sides
 
 
 def assign_points(
@@ -143,19 +237,20 @@ def assign_points(
     if ell <= 0.0:
         raise ValueError("point assignment needs a tour of positive length")
     tol = 1e-9 * ell
-    span = (diagonal.t_q - diagonal.t_p) % ell
-    arclengths = tour.vertex_arclengths
-    index: dict[Point, int] = {}
-    for i, v in enumerate(tour.vertices):
-        index.setdefault(v, i)
-    first: list[Point] = []
-    second: list[Point] = []
-    for pt in points:
-        i = index.get(pt)
-        s = arclengths[i] if i is not None else tour.arclength_of(pt, tol)
-        rel = (s - diagonal.t_p) % ell
-        (first if rel < span else second).append(pt)
-    return tuple(first), tuple(second)
+    pts = tuple(points)
+    # equal coordinates share a key, as equal Points share a dict entry
+    key_of: dict[tuple[float, float], int] = {}
+    for i, pt in enumerate(pts):
+        key_of.setdefault((pt.x, pt.y), i)
+    ids = [key_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
+    keys = [key_of[pt.x, pt.y] for pt in pts]
+    sides = _sides(
+        tour._cum, ids, diagonal.t_p, diagonal.t_q, keys,
+        lambda key: tour.arclength_of(pts[key], tol),
+    )
+    first = tuple(pt for pt, side in zip(pts, sides) if side)
+    second = tuple(pt for pt, side in zip(pts, sides) if not side)
+    return first, second
 
 
 def split_tour(
@@ -271,10 +366,13 @@ def split_plan(k: int) -> SplitPlan:
 
     Sum decompositions a+b cost (1 + 2/pi) * g(a)g(b) / (g(a)+g(b)); product
     decompositions a*b cost g(a)g(b).  When both achieve the minimum the
-    product label is reported.
+    product label is reported.  A k above ``MAX_SPLIT_K`` raises
+    CapacityError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_SPLIT_K:
+        raise CapacityError(f"split plans are limited to k = {MAX_SPLIT_K}, got {k}")
     # _plan(k) recurses through _plan(k - 1); filling the cache bottom-up
     # keeps that recursion one level deep for any k.
     for j in range(1, k):
@@ -297,11 +395,37 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     """Lower and upper bounds on the worst-case k-way ratio for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    # fails over the cap before any row is built, and fills the plan cache
+    split_plan(k_max)
     rows = []
     for k in range(1, k_max + 1):
         plan = split_plan(k)
         rows.append(BoundsRow(k, circle_limit_ratio(k), plan.ratio, plan.decomposition))
     return rows
+
+
+def _subtour(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    cum: Sequence[float],
+    ids: Sequence[int],
+    t1: float,
+    t2: float,
+    key_of: dict[tuple[float, float], int],
+) -> tuple[list[float], list[float], list[float], list[int]]:
+    """The sub-tour from arclength t1 forward to t2, closed by its chord,
+    as flat lists; each end takes the key of the point it coincides with."""
+    first, inside, last = _subpath(xs, ys, cum, t1, t2)
+    sub_xs = [first[0]] + [xs[i] for i in inside]
+    sub_ys = [first[1]] + [ys[i] for i in inside]
+    sub_ids = [key_of.get(first, -1)] + [ids[i] for i in inside]
+    if last is not None:
+        sub_xs.append(last[0])
+        sub_ys.append(last[1])
+        sub_ids.append(key_of.get(last, -1))
+    sub_xs.append(sub_xs[0])
+    sub_ys.append(sub_ys[0])
+    return sub_xs, sub_ys, _cumulative(sub_xs, sub_ys), sub_ids
 
 
 def guaranteed_partition(
@@ -311,31 +435,51 @@ def guaranteed_partition(
 ) -> SolveResult:
     """Split a tour of the points into k pieces within g(k) of its length.
 
-    Each piece keeps the sub-tour the recursive splitting cut for it, which
-    is what the guarantee is proved for.  Leaves that receive no points are
-    dropped from the result, so a zero-length tour (a single point) stays
-    one block.
+    Every point must be a vertex of the tour.  Each piece keeps the
+    sub-tour the recursive splitting cut for it, which is what the
+    guarantee is proved for.  Leaves that receive no points are dropped
+    from the result, so a zero-length tour (a single point) stays one
+    block.  Each level cuts as ``split_tour`` does, on the sub-tours'
+    coordinates; Points and ClosedTours are built only for the result.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
+    pts = instance.points
+    key_of = {(p.x, p.y): i for i, p in enumerate(pts)}
+    ids = [key_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
+    on_tour = set(ids)
+    for i, p in enumerate(pts):
+        if i not in on_tour:
+            raise ValueError(f"point ({p.x}, {p.y}) is not a vertex of the tour")
     if tour.length == 0.0:
-        return SolveResult(Partition((instance.points,)), (tour,), 0.0)
-    leaves: list[tuple[tuple[Point, ...], ClosedTour]] = []
+        return SolveResult(Partition((pts,)), (tour,), 0.0)
+    kept: list[tuple[list[int], Sequence[float], Sequence[float]]] = []
     diagonals: list[Diagonal] = []
-
-    def descend(node: PlanNode, node_tour: ClosedTour, pts: tuple[Point, ...]) -> None:
+    # depth first, left before right: the order recursion would visit
+    stack = [(plan.root, tour._xs, tour._ys, tour._cum, ids, list(range(len(pts))))]
+    while stack:
+        node, xs, ys, cum, ids, members = stack.pop()
         if node.is_leaf:
-            leaves.append((pts, node_tour))
-            return
-        result = split_tour(node_tour, pts, node.fraction)
-        diagonals.append(result.diagonal)
-        descend(node.left, result.tour1, result.points1)
-        descend(node.right, result.tour2, result.points2)
+            if members:
+                kept.append((members, xs, ys))
+            continue
+        ell = cum[-1]
+        t_p, t_q, p, q = _cut(xs, ys, cum, node.fraction * ell)
+        diagonals.append(Diagonal(Point(*p), Point(*q), t_p, t_q))
+        left = _subtour(xs, ys, cum, ids, t_p, t_q, key_of)
+        right = _subtour(xs, ys, cum, ids, t_q, t_p, key_of)
+        tol = 1e-9 * ell
 
-    descend(plan.root, tour, instance.points)
-    kept = [(pts, t) for pts, t in leaves if pts]
-    blocks = tuple(pts for pts, _ in kept)
-    tours = tuple(t for _, t in kept)
+        def locate(key: int) -> float:
+            return _locate(xs, ys, cum, pts[key].x, pts[key].y, tol)
+
+        sides = _sides(cum, ids, t_p, t_q, members, locate)
+        stack.append((node.right, *right, [i for i, side in zip(members, sides) if not side]))
+        stack.append((node.left, *left, [i for i, side in zip(members, sides) if side]))
+    blocks = tuple(tuple(pts[i] for i in members) for members, _, _ in kept)
+    tours = tuple(
+        ClosedTour(tuple(map(Point, xs[:-1], ys[:-1]))) for _, xs, ys in kept
+    )
     return SolveResult(
         partition=Partition(blocks),
         tours=tours,

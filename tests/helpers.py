@@ -2,8 +2,9 @@
 
 The oracles here are deliberately naive (permutation and set-partition
 enumeration, per-point edge scans, every-edge width projections, a chord
-search that locates every breakpoint by bisection) so they stay
-independent of the library's solver paths.
+search that locates every breakpoint by bisection, guaranteed splitting
+as a recursion over ClosedTours) so they stay independent of the
+library's solver paths.
 """
 
 from __future__ import annotations
@@ -12,7 +13,18 @@ import itertools
 import math
 import random
 
-from toursplit import ChordSearchError, ClosedTour, Direction, Instance, Point, convex_hull
+from toursplit import (
+    ChordSearchError,
+    ClosedTour,
+    Diagonal,
+    Direction,
+    Instance,
+    Partition,
+    Point,
+    SolveResult,
+    convex_hull,
+    split_plan,
+)
 from toursplit.geometry import _unit_scale
 
 
@@ -184,6 +196,84 @@ def naive_chord_at_arclength(tour: ClosedTour, x: float, u) -> float:
     if abs(f(t)) > 1e-9 * ell:
         raise ChordSearchError(f"chord root residual too large: {f(t)}")
     return t
+
+
+def naive_vertex_sides(tour: ClosedTour, diagonal, points):
+    """Sides of the cut with each vertex point read at its first visit.
+
+    The first visit is found by a linear search over the vertex list; any
+    other point takes the edge scan.  This is the assignment rule of
+    ``assign_points``, which the edge scan alone breaks on ties: a vertex
+    read an ulp before the cut start, or a collinear tour's vertex that
+    lies on an earlier edge.
+    """
+    ell = tour.length
+    tol = 1e-9 * ell
+    span = (diagonal.t_q - diagonal.t_p) % ell
+    verts = list(tour.vertices)
+    first, second = [], []
+    for pt in points:
+        if pt in verts:
+            s = tour.vertex_arclengths[verts.index(pt)]
+        else:
+            s = tour.arclength_of(pt, tol)
+        rel = (s - diagonal.t_p) % ell
+        (first if rel < span else second).append(pt)
+    return tuple(first), tuple(second)
+
+
+def naive_subcurve(tour: ClosedTour, t1: float, t2: float) -> tuple:
+    """The open path from t1 forward to t2: every vertex's offset, sorted."""
+    start = t1 % tour.length
+    span = (t2 - t1) % tour.length
+    first = tour.point_at(start)
+    if span == 0.0:
+        return (first,)
+    interior = []
+    for idx, s in enumerate(tour.vertex_arclengths):
+        rel = (s - start) % tour.length
+        if 0.0 < rel < span:
+            interior.append((rel, idx))
+    interior.sort()
+    return (first,) + tuple(tour.vertices[i] for _, i in interior) + (tour.point_at(start + span),)
+
+
+def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_vertex_sides):
+    """guaranteed_partition as a recursion over ClosedTours, one split per
+    plan node: the every-edge width, the chord search that bisects for
+    every break, the sorted subcurve and ``assign`` for the sides."""
+    instance = points if isinstance(points, Instance) else Instance.from_points(points)
+    plan = split_plan(k)
+    if tour.length == 0.0:
+        return SolveResult(Partition((instance.points,)), (tour,), 0.0)
+    leaves = []
+    diagonals = []
+
+    def descend(node, node_tour, pts):
+        if node.is_leaf:
+            leaves.append((pts, node_tour))
+            return
+        x = node.fraction * node_tour.length
+        _, direction = naive_min_width(node_tour)
+        t = naive_chord_at_arclength(node_tour, x, direction.orthogonal().unit)
+        t_q = (t + x) % node_tour.length
+        diagonal = Diagonal(node_tour.point_at(t), node_tour.point_at(t_q), t, t_q)
+        diagonals.append(diagonal)
+        tour1 = ClosedTour(naive_subcurve(node_tour, t, t_q))
+        tour2 = ClosedTour(naive_subcurve(node_tour, t_q, t))
+        pts1, pts2 = assign(node_tour, diagonal, pts)
+        descend(node.left, tour1, pts1)
+        descend(node.right, tour2, pts2)
+
+    descend(plan.root, tour, instance.points)
+    kept = [(pts, t) for pts, t in leaves if pts]
+    tours = tuple(t for _, t in kept)
+    return SolveResult(
+        partition=Partition(tuple(pts for pts, _ in kept)),
+        tours=tours,
+        value=max(t.length for t in tours),
+        diagonals=tuple(diagonals),
+    )
 
 
 def projection_width(points, theta: float) -> float:

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import toursplit.circle
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
-from toursplit import ChordSearchError, Point, VerificationError
+from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 
@@ -82,6 +88,14 @@ class TestTsp:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["tsp", "/nonexistent/file.txt"]) == 2
+
+    def test_binary_file_exit_2_names_it(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe0 0\n")
+        assert main(["tsp", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in err
 
     def test_lengths_recomputable_from_vertices(self, tmp_path, capsys):
         code, out = run(capsys, ["tsp", circle_file(tmp_path, 8)])
@@ -171,13 +185,42 @@ class TestSplit:
                 assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
 
     def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        def explode(tour, x):
+        def explode(xs, ys, cum, x, u):
             raise ChordSearchError("forced failure")
 
-        monkeypatch.setattr("toursplit.splitting.short_diagonal", explode)
+        # the chord search every split runs, public or recursive
+        monkeypatch.setattr("toursplit.splitting._chord_root", explode)
         code = main(["split", write(tmp_path, "sq.txt", SQUARE_TEXT), "-k", "2"])
         assert code == 4
         assert "verification failed: forced failure" in capsys.readouterr().err
+
+
+class TestSplitCap:
+    """k is capped, so a huge k exits 3 at once instead of building its plan."""
+
+    def run_cli(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "toursplit.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    @pytest.mark.parametrize("k", ["99999999999999999999", str(MAX_SPLIT_K + 1)])
+    def test_k_over_the_cap_exit_3(self, tmp_path, k):
+        five = write(tmp_path, "five.txt", "0 0\n1 0\n1 1\n0 1\n0.5 2\n")
+        for argv in (["split", five, "-k", k], ["bounds", k]):
+            proc = self.run_cli(*argv)
+            assert proc.returncode == 3, argv
+            limit = f"split plans are limited to k = {MAX_SPLIT_K}, got {k}"
+            assert proc.stderr == f"capacity: {limit}\n"
+
+    def test_k_at_the_cap_splits(self, tmp_path):
+        five = write(tmp_path, "five.txt", "0 0\n1 0\n1 1\n0 1\n0.5 2\n")
+        proc = self.run_cli("split", five, "-k", str(MAX_SPLIT_K))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert len(doc["blocks"]) == 5
+        assert all(block["length"] <= doc["bound"] * (1 + 1e-9) for block in doc["blocks"])
 
 
 class TestOverflow:

@@ -13,7 +13,7 @@ from helpers import (
     leaf_count,
     naive_assign_points,
     naive_chord_at_arclength,
-    naive_min_width,
+    naive_guaranteed_partition,
     random_instance,
     random_simple_tour,
 )
@@ -36,7 +36,7 @@ from toursplit import (
     split_plan,
     split_tour,
 )
-from toursplit import splitting
+from toursplit import geometry, splitting
 from toursplit.splitting import _plan
 
 INV_PI = 1.0 / math.pi
@@ -105,6 +105,16 @@ def scaled(p: Point, f: float) -> Point:
     return Point(p.x * f, p.y * f)
 
 
+def result_bits(result) -> str:
+    """Blocks, tours, diagonals and value of a split, as exact float reprs."""
+    return repr((
+        [[(p.x, p.y) for p in block] for block in result.partition.blocks],
+        [[(v.x, v.y) for v in t.vertices] for t in result.tours],
+        [(d.p.x, d.p.y, d.q.x, d.q.y, d.t_p, d.t_q) for d in result.diagonals],
+        result.value,
+    ))
+
+
 def count_scans(monkeypatch) -> list:
     """Record every ClosedTour.arclength_of call from here on."""
     calls = []
@@ -148,6 +158,8 @@ class TestGuaranteeProperties:
         assert all(t.length <= bound for t in result.tours)
         covered = sorted((p.x, p.y) for block in result.partition.blocks for p in block)
         assert covered == sorted(set((p.x, p.y) for p in tour.vertices))
+        oracle = naive_guaranteed_partition(tour.vertices, tour, k)
+        assert result_bits(result) == result_bits(oracle)
 
 
 class TestChordSearch:
@@ -206,39 +218,34 @@ class TestChordSearch:
         # for both ends of every break
         for tour in chord_tours():
             ell = tour.length
+            # an offset just above a vertex's arclength puts a break within
+            # an ulp of ell, where the walk may not stop early
+            arcs = tour.vertex_arclengths
+            near = [s + math.ulp(s) for s in (arcs[len(arcs) // 2], arcs[-1])]
             offsets = (math.ulp(ell), 1e-9 * ell, 0.3 * ell, 0.5 * ell,
-                       (1 - 1e-9) * ell, ell - math.ulp(ell))
+                       (1 - 1e-9) * ell, ell - math.ulp(ell),
+                       *(x for x in near if 0.0 < x < ell))
             for x in offsets:
                 for u in ((1.0, 0.0), (0.37, -0.93)):
                     got = chord_outcome(chord_at_arclength, tour, x, u)
                     assert got == chord_outcome(naive_chord_at_arclength, tour, x, u)
 
     def test_breaks_are_walked_without_point_at(self, monkeypatch):
-        # point_at bisects for every call; inside a search only the residual
-        # check may use it, twice
+        # Only point evaluation bisects.  Each split bisects 10 times: for
+        # both ends of the chord at the wrap interval's two breaks and at
+        # the root, and for each sub-tour's two ends; no other break does.
         tour = ellipse_tour(random.Random(10_000), 10_000)
-        calls: list[int] = []
-        searching = [False]
-        point_at = ClosedTour.point_at
-        search = splitting.chord_at_arclength
+        calls = []
+        bisect_right = geometry.bisect_right
 
-        def counted_point_at(self, t):
-            if searching[0]:
-                calls[-1] += 1
-            return point_at(self, t)
+        def counted(a, x):
+            calls.append(x)
+            return bisect_right(a, x)
 
-        def counted_search(tour, x, u):
-            calls.append(0)
-            searching[0] = True
-            try:
-                return search(tour, x, u)
-            finally:
-                searching[0] = False
-
-        monkeypatch.setattr(ClosedTour, "point_at", counted_point_at)
-        monkeypatch.setattr(splitting, "chord_at_arclength", counted_search)
+        monkeypatch.setattr(geometry, "bisect_right", counted)
         result = guaranteed_partition(tour.vertices, tour, 8)
-        assert calls == [2] * 7
+        assert len(result.diagonals) == 7
+        assert len(calls) == 10 * 7
         bound = split_plan(8).ratio * tour.length
         assert all(t.length <= bound + 1e-9 for t in result.tours)
         assert all(d.length <= tour.length * INV_PI + 1e-9 for d in result.diagonals)
@@ -392,8 +399,17 @@ class TestAssignPoints:
         assert sides == naive_assign_points(tour, d, (o, Point(1, 1)))
 
     def test_vertex_points_skip_the_edge_scan(self, monkeypatch):
+        # the recursion scans edges through splitting._locate, the public
+        # functions through ClosedTour.arclength_of; neither may run
         tour = ellipse_tour(random.Random(10_000), 10_000)
         calls = count_scans(monkeypatch)
+        scan = splitting._locate
+
+        def counted(xs, ys, cum, px, py, tol):
+            calls.append((px, py))
+            return scan(xs, ys, cum, px, py, tol)
+
+        monkeypatch.setattr(splitting, "_locate", counted)
         result = guaranteed_partition(tour.vertices, tour, 8)
         assert calls == []
         bound = split_plan(8).ratio * tour.length
@@ -592,16 +608,27 @@ class TestGuaranteedPartition:
             oracle = optimal_partition(inst, k)
             assert oracle.value <= heuristic.value + 1e-9
 
-    def test_matches_the_edge_scan_and_every_edge_width(self, monkeypatch):
-        cases = [(tour, k) for tour in parity_tours() for k in PARITY_KS]
-        fast = [guaranteed_partition(tour.vertices, tour, k) for tour, k in cases]
-        monkeypatch.setattr(splitting, "assign_points", naive_assign_points)
-        monkeypatch.setattr(splitting, "min_width", naive_min_width)
-        monkeypatch.setattr(splitting, "chord_at_arclength", naive_chord_at_arclength)
-        for (tour, k), got in zip(cases, fast):
-            ref = guaranteed_partition(tour.vertices, tour, k)
-            assert got.partition == ref.partition
-            assert got.diagonals == ref.diagonals
+    def test_matches_the_edge_scan_and_every_edge_width(self):
+        # bit for bit against the recursion over ClosedTours with the
+        # every-edge width, the bisecting chord search and the edge scan
+        for tour in parity_tours():
+            for k in PARITY_KS:
+                got = guaranteed_partition(tour.vertices, tour, k)
+                ref = naive_guaranteed_partition(tour.vertices, tour, k, naive_assign_points)
+                assert result_bits(got) == result_bits(ref)
+
+    def test_matches_the_recursive_oracle_on_scale_tours(self):
+        for tour in scale_tours():
+            for k in PARITY_KS:
+                got = guaranteed_partition(tour.vertices, tour, k)
+                ref = naive_guaranteed_partition(tour.vertices, tour, k)
+                assert result_bits(got) == result_bits(ref)
+
+    def test_points_must_be_tour_vertices(self):
+        # an edge midpoint lies on the tour but is not one of its vertices
+        for extra in (Point(0.5, 0.5), Point(0.5, 0.0)):
+            with pytest.raises(ValueError, match=rf"\({extra.x}, {extra.y}\) is not a vertex"):
+                guaranteed_partition(SQUARE_POINTS + (extra,), SQUARE, 2)
 
     def test_vertex_at_the_cut_start_goes_left(self):
         # At k = 10 one cut on the octagon starts on a vertex up to rounding.
@@ -615,6 +642,8 @@ class TestGuaranteedPartition:
         for block, tour in zip(result.partition.blocks, result.tours):
             assert block[0] in tour.vertices
         assert result.value == 2.4018631658336846
+        oracle = naive_guaranteed_partition(pts, ClosedTour(pts), 10)
+        assert result_bits(result) == result_bits(oracle)
 
     def test_power_of_two_scaling_is_exact(self):
         # Scaling by 2^e is exact, so every block, diagonal and the value
