@@ -2,8 +2,9 @@
 
 Reference implementations of the hot inner loops: Held-Karp dynamic
 programs over vertex subsets and the min-max partition search.  The
-compiled module ``_core`` mirrors these loops operation for operation, so
-both lanes produce bit-identical results.
+compiled module ``_core`` runs the same dynamic programs: every table cell
+receives the same candidates, in the same order, under the same strict
+comparison, so both lanes produce bit-identical results, ties included.
 """
 
 from __future__ import annotations
@@ -24,32 +25,35 @@ def shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
     if n == 1:
         return 0.0, [0]
     full = 1 << n
-    dp = [INF] * (full * n)
-    parent = [-1] * (full * n)
-    dp[n] = 0.0  # mask {0}, last vertex 0
-    for mask in range(1, full):
-        if not mask & 1:
-            continue
-        base = mask * n
+    rows = [dist[i * n : (i + 1) * n] for i in range(n)]
+    # Only masks that hold point 0 are reachable, so mask's row starts at
+    # (mask >> 1) * n; adding point j moves (1 << j >> 1) * n + j cells on.
+    step = [(1 << j >> 1) * n + j for j in range(n)]
+    size = (full >> 1) * n
+    dp = [INF] * size
+    parent = [-1] * size
+    dp[0] = 0.0  # mask {0}, last vertex 0
+    # each cell (mask | 1 << j, j) hears only from mask, last rising: the
+    # candidate order of the compiled lane's full-table loop
+    for mask in range(1, full - 1, 2):
+        base = (mask >> 1) * n
+        outs = [(base + step[j], j) for j in range(1, n) if not mask >> j & 1]
         for last in range(n):
             cur = dp[base + last]
             if cur == INF:
                 continue
-            drow = last * n
-            for j in range(1, n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                idx = (mask | bit) * n + j
-                cand = cur + dist[drow + j]
+            row = rows[last]
+            for idx, j in outs:
+                cand = cur + row[j]
                 if cand < dp[idx]:
                     dp[idx] = cand
                     parent[idx] = last
     fm = full - 1
+    fbase = (fm >> 1) * n
     best = INF
     best_last = -1
     for j in range(1, n):
-        cand = dp[fm * n + j] + dist[j * n]
+        cand = dp[fbase + j] + rows[j][0]
         if cand < best:
             best = cand
             best_last = j
@@ -57,7 +61,7 @@ def shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
     mask, cur = fm, best_last
     while cur != -1:
         order.append(cur)
-        nxt = parent[mask * n + cur]
+        nxt = parent[(mask >> 1) * n + cur]
         mask ^= 1 << cur
         cur = nxt
     order.reverse()

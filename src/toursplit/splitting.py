@@ -437,8 +437,9 @@ def guaranteed_partition(
 
     Every point must be a vertex of the tour.  Each piece keeps the
     sub-tour the recursive splitting cut for it, which is what the
-    guarantee is proved for.  Leaves that receive no points are dropped
-    from the result, so a zero-length tour (a single point) stays one
+    guarantee is proved for.  A plan subtree that receives no points is
+    neither cut nor kept, so ``diagonals`` holds only the cuts on the paths
+    to kept pieces, and a zero-length tour (a single point) stays one
     block.  Each level cuts as ``split_tour`` does, on the sub-tours'
     coordinates; Points and ClosedTours are built only for the result.
     """
@@ -459,9 +460,10 @@ def guaranteed_partition(
     stack = [(plan.root, tour._xs, tour._ys, tour._cum, ids, list(range(len(pts))))]
     while stack:
         node, xs, ys, cum, ids, members = stack.pop()
+        if not members:
+            continue  # a subtree without points would only cut pieces it drops
         if node.is_leaf:
-            if members:
-                kept.append((members, xs, ys))
+            kept.append((members, xs, ys))
             continue
         ell = cum[-1]
         t_p, t_q, p, q = _cut(xs, ys, cum, node.fraction * ell)

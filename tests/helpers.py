@@ -3,8 +3,9 @@
 The oracles here are deliberately naive (permutation and set-partition
 enumeration, per-point edge scans, every-edge width projections, a chord
 search that locates every breakpoint by bisection, guaranteed splitting
-as a recursion over ClosedTours) so they stay independent of the
-library's solver paths.
+as a recursion over ClosedTours, the Held-Karp tour DP over the full
+``2^n * n`` table) so they stay independent of the library's solver
+paths.
 """
 
 from __future__ import annotations
@@ -30,6 +31,57 @@ from toursplit.geometry import _unit_scale
 
 def dist(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def naive_shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
+    """The pure kernel's Held-Karp tour DP before its half-size table: all
+    2^n masks in a ``2^n * n`` table, every j bit-tested per (mask, last).
+    Kept as it was, so the pure lane stays checked without a C compiler."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    if n > 24:
+        raise ValueError("subset table would exceed the kernel's memory budget")
+    if n == 1:
+        return 0.0, [0]
+    full = 1 << n
+    dp = [math.inf] * (full * n)
+    parent = [-1] * (full * n)
+    dp[n] = 0.0  # mask {0}, last vertex 0
+    for mask in range(1, full):
+        if not mask & 1:
+            continue
+        base = mask * n
+        for last in range(n):
+            cur = dp[base + last]
+            if cur == math.inf:
+                continue
+            drow = last * n
+            for j in range(1, n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                idx = (mask | bit) * n + j
+                cand = cur + dist[drow + j]
+                if cand < dp[idx]:
+                    dp[idx] = cand
+                    parent[idx] = last
+    fm = full - 1
+    best = math.inf
+    best_last = -1
+    for j in range(1, n):
+        cand = dp[fm * n + j] + dist[j * n]
+        if cand < best:
+            best = cand
+            best_last = j
+    order = []
+    mask, cur = fm, best_last
+    while cur != -1:
+        order.append(cur)
+        nxt = parent[mask * n + cur]
+        mask ^= 1 << cur
+        cur = nxt
+    order.reverse()
+    return best, order
 
 
 def brute_force_tour_length(points) -> float:
@@ -250,6 +302,8 @@ def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_ve
     diagonals = []
 
     def descend(node, node_tour, pts):
+        if not pts:
+            return
         if node.is_leaf:
             leaves.append((pts, node_tour))
             return
@@ -266,10 +320,9 @@ def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_ve
         descend(node.right, tour2, pts2)
 
     descend(plan.root, tour, instance.points)
-    kept = [(pts, t) for pts, t in leaves if pts]
-    tours = tuple(t for _, t in kept)
+    tours = tuple(t for _, t in leaves)
     return SolveResult(
-        partition=Partition(tuple(pts for pts, _ in kept)),
+        partition=Partition(tuple(pts for pts, _ in leaves)),
         tours=tours,
         value=max(t.length for t in tours),
         diagonals=tuple(diagonals),
@@ -291,6 +344,11 @@ def chain_length(points) -> float:
 def leaf_count(node) -> int:
     """Leaves of a split-plan subtree."""
     return 1 if node.is_leaf else leaf_count(node.left) + leaf_count(node.right)
+
+
+def plan_depth(node) -> int:
+    """Cuts on the longest root-to-leaf path of a split-plan subtree."""
+    return 0 if node.is_leaf else 1 + max(plan_depth(node.left), plan_depth(node.right))
 
 
 def gap_fill_move_count(n: int) -> int:

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import toursplit.circle
+from helpers import plan_depth
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
-from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError
+from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, split_plan
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -221,6 +222,8 @@ class TestSplitCap:
         doc = json.loads(proc.stdout)
         assert len(doc["blocks"]) == 5
         assert all(block["length"] <= doc["bound"] * (1 + 1e-9) for block in doc["blocks"])
+        # only the cuts on the paths to the five kept pieces are made
+        assert len(doc["diagonals"]) <= 5 * plan_depth(split_plan(MAX_SPLIT_K).root)
 
 
 class TestOverflow:

@@ -1,5 +1,6 @@
 """Solver kernels: both lanes agree with each other and with brute force."""
 
+import math
 import os
 import random
 import re
@@ -12,15 +13,26 @@ import pytest
 from helpers import (
     brute_force_partition_value,
     brute_force_tour_length,
+    naive_shortest_cycle,
     random_points,
 )
-from toursplit import _core_py, circle_points
+from toursplit import Point, _core_py, circle_points
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def flat_distances(points) -> list[float]:
     return [a.distance_to(b) for a in points for b in points]
+
+
+def grid(rows: int, cols: int) -> list[Point]:
+    """Integer grid points: many tours tie exactly."""
+    return [Point(float(x), float(y)) for x in range(cols) for y in range(rows)]
+
+
+def overflowing_points(rng: random.Random, n: int) -> list[Point]:
+    """Points whose distances are finite but whose every tour overflows."""
+    return random_points(rng, n, scale=1e308)
 
 
 class TestPureLane:
@@ -87,6 +99,19 @@ class TestPureLane:
             assert value == best_value
             assert labels == expected
 
+    def test_shortest_cycle_matches_the_full_table_loop(self):
+        # the half-size table must keep every value, order and tie-break
+        rng = random.Random(106)
+        cases = [random_points(rng, n, scale=rng.choice([1.0, 100.0])) for n in range(1, 13)]
+        cases += [random_points(rng, n) for n in range(1, 13) for _ in range(3)]
+        cases += [circle_points(n).points for n in (3, 4, 6, 8, 12)]
+        cases += [grid(3, 4), grid(2, 6), overflowing_points(rng, 6)]
+        for pts in cases:
+            dist = flat_distances(pts)
+            assert _core_py.shortest_cycle(dist, len(pts)) == naive_shortest_cycle(dist, len(pts))
+        dist = flat_distances(cases[-1])
+        assert _core_py.shortest_cycle(dist, 6) == (math.inf, [])
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             _core_py.shortest_cycle([], 0)
@@ -116,6 +141,22 @@ class TestLaneParity:
                 assert compiled_core.min_max_partition(
                     table_c, n, k
                 ) == _core_py.min_max_partition(table_py, n, k)
+
+    def test_shortest_cycle_bit_identical_at_the_tour_cap(self, compiled_core):
+        rng = random.Random(107)
+        cases = [
+            random_points(rng, 16),
+            grid(4, 4),
+            circle_points(16).points,
+            grid(3, 6),  # n = 18, MAX_EXACT_POINTS
+        ]
+        for pts in cases:
+            dist = flat_distances(pts)
+            n = len(pts)
+            assert compiled_core.shortest_cycle(dist, n) == _core_py.shortest_cycle(dist, n)
+        dist = flat_distances(overflowing_points(rng, 10))
+        assert compiled_core.shortest_cycle(dist, 10) == (math.inf, [])
+        assert _core_py.shortest_cycle(dist, 10) == (math.inf, [])
 
 
 def backend_of(env_value, preload=None):
