@@ -44,13 +44,11 @@ from .splitting import (
     PlanNode,
     SplitPlan,
     SplitResult,
-    assign_points,
     bounds_table,
     chord_at_arclength,
     equalizing_fraction,
     guaranteed_partition,
     halve_tour,
-    short_diagonal,
     split_plan,
     split_tour,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "SplitResult",
     "VerificationError",
     "arc_tour_length",
-    "assign_points",
     "bounds_table",
     "chord_at_arclength",
     "circle_limit_ratio",
@@ -92,7 +89,6 @@ __all__ = [
     "min_width",
     "optimal_partition",
     "optimal_tour",
-    "short_diagonal",
     "speedup_ratio",
     "split_plan",
     "split_tour",

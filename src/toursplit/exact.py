@@ -40,14 +40,8 @@ class Instance:
     @classmethod
     def from_points(cls, points: Iterable[PointInput]) -> "Instance":
         """Build an instance, dropping coincident duplicates (order kept)."""
-        seen = set()
-        keep = []
-        for pt in _as_points(points):
-            key = (pt.x, pt.y)
-            if key not in seen:
-                seen.add(key)
-                keep.append(pt)
-        return cls(tuple(keep))
+        # equal Points hash alike, so each keeps its first occurrence
+        return cls(tuple(dict.fromkeys(_as_points(points))))
 
     @property
     def n(self) -> int:

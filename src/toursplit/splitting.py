@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .circle import circle_limit_ratio
 from .exact import CapacityError, Instance, Partition, SolveResult
@@ -162,28 +162,6 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
     return _chord_root(tour._xs, tour._ys, tour._cum, x, u)[0]
 
 
-def _cut(
-    xs: Sequence[float], ys: Sequence[float], cum: Sequence[float], x: float
-) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
-    """``short_diagonal`` on a closed flat curve: (t_p, t_q, p, q)."""
-    _, theta = _min_width(zip(xs, ys))
-    # the unit vector of Direction(theta).orthogonal()
-    phi = (theta + math.pi / 2.0) % math.pi
-    t, p, q = _chord_root(xs, ys, cum, x, (math.cos(phi), math.sin(phi)))
-    # t + x >= 0, so the residual check's point at t + x is the one at t_q
-    return t, (t + x) % cum[-1], p, q
-
-
-def short_diagonal(tour: ClosedTour, x: float) -> Diagonal:
-    """A diagonal cutting off arclength ``x``, no longer than length/pi.
-
-    The chord is taken parallel to the minimum-width direction of the
-    tour's hull, so its length is bounded by that width.
-    """
-    t_p, t_q, p, q = _cut(tour._xs, tour._ys, tour._cum, x)
-    return Diagonal(p=Point(*p), q=Point(*q), t_p=t_p, t_q=t_q)
-
-
 @dataclass(frozen=True)
 class SplitResult:
     """Two sub-tours sharing a diagonal, with the input points divided."""
@@ -195,77 +173,38 @@ class SplitResult:
     points2: tuple[Point, ...]
 
 
-def _sides(
-    cum: Sequence[float],
-    ids: Sequence[int],
-    t_p: float,
-    t_q: float,
-    keys: Iterable[int],
-    locate: Callable[[int], float],
-) -> list[bool]:
-    """For each key, whether its point lies on the cut's first side.
+def split_tour(
+    tour: ClosedTour, points: Union[Instance, Iterable[Point]], fraction: float
+) -> SplitResult:
+    """Split so the first side carries ``fraction`` of the tour's arclength.
 
-    ``ids`` holds a key per vertex (-1 for none).  A key found there reads
-    its arclength at its first vertex occurrence; any other is placed by
-    ``locate(key)``.  The first side is [t_p, t_q) cyclically.
+    The diagonal is no longer than length/pi, and each sub-tour's closing
+    edge is that diagonal.  A point at arclength s goes to the first side
+    when s is in [t_p, t_q) cyclically, so a point at the cut start goes
+    left and one at the cut end goes right; input order is kept on each
+    side.  A point equal to a tour vertex reads its arclength at the
+    vertex's first occurrence; any other point is placed by a scan over
+    the edges, so it must lie on the tour within 1e-9 of its length.
     """
-    ell = cum[-1]
-    span = (t_q - t_p) % ell
-    # filled backwards, so each key keeps its first position
-    at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    sides = []
-    for key in keys:
-        i = at.get(key)
-        s = cum[i] if i is not None else locate(key)
-        sides.append((s - t_p) % ell < span)
-    return sides
-
-
-def assign_points(
-    tour: ClosedTour, diagonal: Diagonal, points: Iterable[Point]
-) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """Divide points by which side of the diagonal's cut they lie on.
-
-    A point at arclength s joins the first side when s is in [t_p, t_q)
-    cyclically, so a point at the cut start goes left and one at the cut
-    end goes right.  A point equal to a tour vertex reads its arclength by
-    index, at the vertex's first occurrence; any other point falls back to
-    ``ClosedTour.arclength_of``, so it must lie on the tour within 1e-9 of
-    its length.
-    """
-    ell = tour.length
-    if ell <= 0.0:
-        raise ValueError("point assignment needs a tour of positive length")
-    tol = 1e-9 * ell
-    pts = tuple(points)
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
+    pts = points.points if isinstance(points, Instance) else _as_points(points)
     # equal coordinates share a key, as equal Points share a dict entry
     key_of: dict[tuple[float, float], int] = {}
     for i, pt in enumerate(pts):
         key_of.setdefault((pt.x, pt.y), i)
     ids = [key_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
-    keys = [key_of[pt.x, pt.y] for pt in pts]
-    sides = _sides(
-        tour._cum, ids, diagonal.t_p, diagonal.t_q, keys,
-        lambda key: tour.arclength_of(pts[key], tol),
+    members = [key_of[pt.x, pt.y] for pt in pts]
+    diagonal, left, right, sides = _split(
+        tour._xs, tour._ys, tour._cum, ids, fraction, members, pts, key_of
     )
-    first = tuple(pt for pt, side in zip(pts, sides) if side)
-    second = tuple(pt for pt, side in zip(pts, sides) if not side)
-    return first, second
-
-
-def split_tour(
-    tour: ClosedTour, points: Union[Instance, Iterable[Point]], fraction: float
-) -> SplitResult:
-    """Split so the first side carries ``fraction`` of the tour's arclength."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    diagonal = short_diagonal(tour, fraction * tour.length)
-    # closing edge of each sub-tour is exactly the shared diagonal
-    tour1 = ClosedTour(tour.subcurve(diagonal.t_p, diagonal.t_q))
-    tour2 = ClosedTour(tour.subcurve(diagonal.t_q, diagonal.t_p))
-    pts = points.points if isinstance(points, Instance) else _as_points(points)
-    points1, points2 = assign_points(tour, diagonal, pts)
-    return SplitResult(diagonal, tour1, tour2, points1, points2)
+    return SplitResult(
+        diagonal,
+        _closed(*left[:2]),
+        _closed(*right[:2]),
+        tuple(pt for pt, side in zip(pts, sides) if side),
+        tuple(pt for pt, side in zip(pts, sides) if not side),
+    )
 
 
 def halve_tour(
@@ -428,6 +367,51 @@ def _subtour(
     return sub_xs, sub_ys, _cumulative(sub_xs, sub_ys), sub_ids
 
 
+def _split(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    cum: Sequence[float],
+    ids: Sequence[int],
+    fraction: float,
+    members: Iterable[int],
+    pts: Sequence[Point],
+    key_of: dict[tuple[float, float], int],
+) -> tuple[Diagonal, tuple, tuple, list[bool]]:
+    """One cut of a closed flat curve (``xs``/``ys`` repeat the first
+    vertex, ``cum`` ends with the length, ``ids`` holds a point key per
+    vertex or -1): the diagonal cutting off ``fraction`` of the length
+    parallel to the hull's minimum width direction, the ``_subtour`` on
+    each side of it, and for each member key whether ``pts[key]`` lies on
+    the first side [t_p, t_q).  A key found in ``ids`` reads its arclength
+    at its first vertex; any other is placed by the edge scan.
+    """
+    ell = cum[-1]
+    x = fraction * ell
+    _, theta = _min_width(zip(xs, ys))
+    # the unit vector of Direction(theta).orthogonal()
+    phi = (theta + math.pi / 2.0) % math.pi
+    t_p, p, q = _chord_root(xs, ys, cum, x, (math.cos(phi), math.sin(phi)))
+    # t_p + x >= 0, so the residual check's point at t_p + x is the one at t_q
+    t_q = (t_p + x) % ell
+    left = _subtour(xs, ys, cum, ids, t_p, t_q, key_of)
+    right = _subtour(xs, ys, cum, ids, t_q, t_p, key_of)
+    span = (t_q - t_p) % ell
+    tol = 1e-9 * ell
+    # filled backwards, so each key keeps its first position
+    at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    sides = []
+    for key in members:
+        i = at.get(key)
+        s = cum[i] if i is not None else _locate(xs, ys, cum, pts[key].x, pts[key].y, tol)
+        sides.append((s - t_p) % ell < span)
+    return Diagonal(Point(*p), Point(*q), t_p, t_q), left, right, sides
+
+
+def _closed(xs: Sequence[float], ys: Sequence[float]) -> ClosedTour:
+    """The ClosedTour through a closed flat curve's vertices."""
+    return ClosedTour(tuple(map(Point, xs[:-1], ys[:-1])))
+
+
 def guaranteed_partition(
     points: Union[Instance, Sequence[Point]],
     tour: ClosedTour,
@@ -440,7 +424,7 @@ def guaranteed_partition(
     guarantee is proved for.  A plan subtree that receives no points is
     neither cut nor kept, so ``diagonals`` holds only the cuts on the paths
     to kept pieces, and a zero-length tour (a single point) stays one
-    block.  Each level cuts as ``split_tour`` does, on the sub-tours'
+    block.  Each level runs ``split_tour``'s cut step on the sub-tours'
     coordinates; Points and ClosedTours are built only for the result.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
@@ -465,23 +449,14 @@ def guaranteed_partition(
         if node.is_leaf:
             kept.append((members, xs, ys))
             continue
-        ell = cum[-1]
-        t_p, t_q, p, q = _cut(xs, ys, cum, node.fraction * ell)
-        diagonals.append(Diagonal(Point(*p), Point(*q), t_p, t_q))
-        left = _subtour(xs, ys, cum, ids, t_p, t_q, key_of)
-        right = _subtour(xs, ys, cum, ids, t_q, t_p, key_of)
-        tol = 1e-9 * ell
-
-        def locate(key: int) -> float:
-            return _locate(xs, ys, cum, pts[key].x, pts[key].y, tol)
-
-        sides = _sides(cum, ids, t_p, t_q, members, locate)
+        diagonal, left, right, sides = _split(
+            xs, ys, cum, ids, node.fraction, members, pts, key_of
+        )
+        diagonals.append(diagonal)
         stack.append((node.right, *right, [i for i, side in zip(members, sides) if not side]))
         stack.append((node.left, *left, [i for i, side in zip(members, sides) if side]))
     blocks = tuple(tuple(pts[i] for i in members) for members, _, _ in kept)
-    tours = tuple(
-        ClosedTour(tuple(map(Point, xs[:-1], ys[:-1]))) for _, xs, ys in kept
-    )
+    tours = tuple(_closed(xs, ys) for _, xs, ys in kept)
     return SolveResult(
         partition=Partition(blocks),
         tours=tours,

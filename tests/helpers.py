@@ -255,7 +255,7 @@ def naive_vertex_sides(tour: ClosedTour, diagonal, points):
 
     The first visit is found by a linear search over the vertex list; any
     other point takes the edge scan.  This is the assignment rule of
-    ``assign_points``, which the edge scan alone breaks on ties: a vertex
+    ``split_tour``, which the edge scan alone breaks on ties: a vertex
     read an ulp before the cut start, or a collinear tour's vertex that
     lies on an earlier edge.
     """

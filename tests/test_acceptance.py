@@ -20,9 +20,9 @@ from toursplit import (
     guaranteed_partition,
     optimal_partition,
     optimal_tour,
-    short_diagonal,
     speedup_ratio,
     split_plan,
+    split_tour,
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
@@ -120,8 +120,9 @@ def test_criterion_6_short_diagonal_property():
     rng = random.Random(20260806)
     for _ in range(1000):
         tour = random_simple_tour(rng, rng.randint(3, 16))
-        x = rng.uniform(0.02, 0.98) * tour.length
-        diagonal = short_diagonal(tour, x)
+        frac = rng.uniform(0.02, 0.98)
+        diagonal = split_tour(tour, (), frac).diagonal
+        x = frac * tour.length
         assert diagonal.length <= tour.length / math.pi + 1e-9
         span = (diagonal.t_q - diagonal.t_p) % tour.length
         assert abs(span - x) <= 1e-9 * tour.length

@@ -40,6 +40,12 @@ class TestInstance:
     def test_deduplicates_coincident_points(self):
         inst = Instance.from_points([(0, 0), (1, 1), (0, 0), (1, 1)])
         assert inst.n == 2
+        # the first occurrence survives, in input order; -0.0 equals 0.0
+        inst = Instance.from_points([(2, 5), (0.0, 3), (1, 1), (-0.0, 3), (2, 5), (4, 0)])
+        assert [(p.x, p.y) for p in inst.points] == [(2, 5), (0.0, 3), (1, 1), (4, 0)]
+        assert math.copysign(1.0, inst.points[1].x) == 1.0
+        inst = Instance.from_points([(-0.0, 3), (0.0, 3)])
+        assert math.copysign(1.0, inst.points[0].x) == -1.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

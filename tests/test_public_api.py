@@ -57,3 +57,24 @@ def test_every_public_name_has_a_caller():
         uses.visit(ast.parse(text))
     unused = sorted(set(toursplit.__all__) - uses.names)
     assert not unused, f"public names without a caller outside the tests: {unused}"
+
+
+def test_library_example_runs_as_documented():
+    names: dict = {}
+    exec(library_example(), names)
+    assert names["tour"].length == 4.0
+    assert names["best"].value == 2.0
+    halves = names["halves"]
+    assert (halves.tour1.length, halves.tour2.length) == (3.0, 3.0)
+    assert halves.diagonal.length == 1.0
+    plan = names["plan"]
+    assert round(plan.ratio, 3) == 0.603
+    assert plan.decomposition == "2*3"
+    assert round(names["pieces"].value, 3) == 2.673
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert [(p.x, p.y) for p in names["hull"]] == corners
+    assert names["width"] == 1.0
+    assert names["t"] == 1.5
+    # the cut at t runs along x = 0.5
+    tour, t = names["tour"], names["t"]
+    assert tour.point_at(t).x == tour.point_at(t + 2.0).x == 0.5

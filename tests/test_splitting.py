@@ -14,6 +14,7 @@ from helpers import (
     naive_assign_points,
     naive_chord_at_arclength,
     naive_guaranteed_partition,
+    naive_vertex_sides,
     random_instance,
     random_simple_tour,
 )
@@ -23,7 +24,7 @@ from toursplit import (
     Diagonal,
     Instance,
     Point,
-    assign_points,
+    SplitResult,
     bounds_table,
     chord_at_arclength,
     circle_points,
@@ -32,7 +33,6 @@ from toursplit import (
     halve_tour,
     optimal_partition,
     optimal_tour,
-    short_diagonal,
     split_plan,
     split_tour,
 )
@@ -116,16 +116,26 @@ def result_bits(result) -> str:
 
 
 def count_scans(monkeypatch) -> list:
-    """Record every ClosedTour.arclength_of call from here on."""
+    """Record every edge scan the splitting functions make from here on."""
     calls = []
-    scan = ClosedTour.arclength_of
+    scan = splitting._locate
 
-    def counted(self, pt, tol):
-        calls.append(pt)
-        return scan(self, pt, tol)
+    def counted(xs, ys, cum, px, py, tol):
+        calls.append((px, py))
+        return scan(xs, ys, cum, px, py, tol)
 
-    monkeypatch.setattr(ClosedTour, "arclength_of", counted)
+    monkeypatch.setattr(splitting, "_locate", counted)
     return calls
+
+
+def split_bits(result) -> str:
+    """Diagonal, both tours and both sides of a one-level split, as exact reprs."""
+    d = result.diagonal
+    return repr((
+        (d.p.x, d.p.y, d.q.x, d.q.y, d.t_p, d.t_q),
+        [[(v.x, v.y) for v in t.vertices] for t in (result.tour1, result.tour2)],
+        [[(p.x, p.y) for p in side] for side in (result.points1, result.points2)],
+    ))
 
 
 @st.composite
@@ -254,20 +264,20 @@ class TestChordSearch:
 class TestShortDiagonal:
     def test_rectangle_prescribed_half(self):
         rect = ClosedTour((Point(0, 0), Point(2, 0), Point(2, 1), Point(0, 1)))
-        d = short_diagonal(rect, 3.0)
+        d = split_tour(rect, (), 0.5).diagonal
         assert d.length == pytest.approx(1.0, abs=1e-9)
         assert d.length <= rect.length / math.pi + 1e-9
         # chord is vertical: the min width direction of the rectangle
         assert d.p.x == pytest.approx(d.q.x, abs=1e-9)
 
     def test_square_half(self):
-        d = short_diagonal(SQUARE, 2.0)
+        d = split_tour(SQUARE, (), 0.5).diagonal
         assert d.length == pytest.approx(1.0, abs=1e-9)
         assert d.length <= 4.0 / math.pi + 1e-9
 
     def test_polygon_halving_is_near_diameter(self):
         tour = regular_polygon_tour(100)
-        d = short_diagonal(tour, tour.length / 2)
+        d = split_tour(tour, (), 0.5).diagonal
         assert d.length == pytest.approx(2.0, abs=1e-3)
         assert d.length <= tour.length / math.pi + 1e-9
 
@@ -275,8 +285,9 @@ class TestShortDiagonal:
         rng = random.Random(23)
         for _ in range(100):
             tour = random_simple_tour(rng, rng.randint(3, 12))
-            x = rng.uniform(0.05, 0.95) * tour.length
-            d = short_diagonal(tour, x)
+            frac = rng.uniform(0.05, 0.95)
+            d = split_tour(tour, (), frac).diagonal
+            x = frac * tour.length
             span = (d.t_q - d.t_p) % tour.length
             assert abs(span - x) <= 1e-9 * tour.length
             assert d.length <= tour.length / math.pi + 1e-9
@@ -370,46 +381,49 @@ class TestAssignPoints:
         assert result.points2 == (Point(0, 0), Point(0, 1))
 
     def test_cut_endpoints_tie_break(self):
-        d = short_diagonal(SQUARE, 2.0)
-        pts = (d.p, d.q)
-        first, second = assign_points(SQUARE, d, pts)
-        assert first == (d.p,)
-        assert second == (d.q,)
+        d = split_tour(SQUARE, (), 0.5).diagonal
+        result = split_tour(SQUARE, (d.p, d.q), 0.5)
+        assert result.diagonal == d
+        assert result.points1 == (d.p,)
+        assert result.points2 == (d.q,)
 
     def test_point_off_tour_rejected(self):
-        d = short_diagonal(SQUARE, 2.0)
         with pytest.raises(ValueError):
-            assign_points(SQUARE, d, (Point(0.5, 0.5),))
+            split_tour(SQUARE, (Point(0.5, 0.5),), 0.5)
 
     def test_sides_match_the_edge_scan(self):
-        for tour in parity_tours():
+        # chord_tours() adds small tours with zero-length edges and closing
+        # repeats; its six large tours would only slow the O(m^2) references
+        for tour in parity_tours() + chord_tours()[6:]:
             for k in PARITY_KS:
-                d = short_diagonal(tour, split_plan(k).root.fraction * tour.length)
-                sides = assign_points(tour, d, tour.vertices)
-                assert sides == naive_assign_points(tour, d, tour.vertices)
+                result = split_tour(tour, tour.vertices, split_plan(k).root.fraction)
+                sides = (result.points1, result.points2)
+                assert sides == naive_vertex_sides(tour, result.diagonal, tour.vertices)
+                assert sides == naive_assign_points(tour, result.diagonal, tour.vertices)
 
     def test_repeated_vertex_reads_its_first_visit(self):
-        # the tour passes the origin at arclengths 0 and 2 + sqrt(2); only
-        # the first visit lies in the cut's [t_p, t_q) = [0, 1)
+        # the tour passes the origin at arclengths 0 and 2 + sqrt(2), half
+        # its length apart, so the halving cut puts the visits on opposite
+        # sides and the point must follow its first visit
         o = Point(0, 0)
         tour = ClosedTour((o, Point(1, 0), Point(1, 1), o, Point(-1, 0), Point(-1, -1)))
-        d = Diagonal(o, Point(1, 0), 0.0, 1.0)
-        sides = assign_points(tour, d, (o, Point(1, 1)))
-        assert sides == ((o,), (Point(1, 1),))
-        assert sides == naive_assign_points(tour, d, (o, Point(1, 1)))
+        pts = (o, Point(1, 1))
+        result = halve_tour(tour, pts)
+        d = result.diagonal
+        span = (d.t_q - d.t_p) % tour.length
+        first_visit, second_visit = (
+            (s - d.t_p) % tour.length < span for s in tour.vertex_arclengths[::3]
+        )
+        assert first_visit != second_visit
+        sides = (result.points1, result.points2)
+        assert (o in result.points1) == first_visit
+        assert sides == naive_vertex_sides(tour, d, pts)
+        assert sides == naive_assign_points(tour, d, pts)
 
     def test_vertex_points_skip_the_edge_scan(self, monkeypatch):
-        # the recursion scans edges through splitting._locate, the public
-        # functions through ClosedTour.arclength_of; neither may run
         tour = ellipse_tour(random.Random(10_000), 10_000)
         calls = count_scans(monkeypatch)
-        scan = splitting._locate
-
-        def counted(xs, ys, cum, px, py, tol):
-            calls.append((px, py))
-            return scan(xs, ys, cum, px, py, tol)
-
-        monkeypatch.setattr(splitting, "_locate", counted)
+        halve_tour(tour, tour.vertices)
         result = guaranteed_partition(tour.vertices, tour, 8)
         assert calls == []
         bound = split_plan(8).ratio * tour.length
@@ -423,9 +437,9 @@ class TestAssignPoints:
             Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
             for a, b in zip(verts, verts[1:] + verts[:1])
         )
-        d = short_diagonal(tour, 0.4 * tour.length)
         calls = count_scans(monkeypatch)
-        first, second = assign_points(tour, d, mids)
+        result = split_tour(tour, mids, 0.4)
+        d, first, second = result.diagonal, result.points1, result.points2
         assert len(calls) == len(mids)
         span = (d.t_q - d.t_p) % tour.length
         cum = tour.vertex_arclengths + (tour.length,)
@@ -616,6 +630,18 @@ class TestGuaranteedPartition:
                 got = guaranteed_partition(tour.vertices, tour, k)
                 ref = naive_guaranteed_partition(tour.vertices, tour, k, naive_assign_points)
                 assert result_bits(got) == result_bits(ref)
+
+    def test_two_way_split_is_the_halving_cut(self):
+        # halve_tour and guaranteed_partition run one cut step: at k = 2
+        # the partition's single cut is the halving, bit for bit
+        for tour in parity_tours():
+            if len(set(tour.vertices)) < len(tour.vertices):
+                continue
+            half = halve_tour(tour, tour.vertices)
+            two = guaranteed_partition(tour.vertices, tour, 2)
+            assert len(two.diagonals) == 1
+            got = SplitResult(two.diagonals[0], *two.tours, *two.partition.blocks)
+            assert split_bits(got) == split_bits(half)
 
     def test_matches_the_recursive_oracle_on_scale_tours(self):
         for tour in scale_tours():
