@@ -43,14 +43,11 @@ from .splitting import (
     ChordSearchError,
     PlanNode,
     SplitPlan,
-    SplitResult,
     bounds_table,
     chord_at_arclength,
     equalizing_fraction,
     guaranteed_partition,
-    halve_tour,
     split_plan,
-    split_tour,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +71,6 @@ __all__ = [
     "SOLVER_BACKEND",
     "SolveResult",
     "SplitPlan",
-    "SplitResult",
     "VerificationError",
     "arc_tour_length",
     "bounds_table",
@@ -85,13 +81,11 @@ __all__ = [
     "convex_hull",
     "equalizing_fraction",
     "guaranteed_partition",
-    "halve_tour",
     "min_width",
     "optimal_partition",
     "optimal_tour",
     "speedup_ratio",
     "split_plan",
-    "split_tour",
     "tour_values_by_subset",
     "verify_arc_optimality",
     "verify_gap_fill_monotonicity",

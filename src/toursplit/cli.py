@@ -65,13 +65,16 @@ def format_instance(points: Sequence[Point]) -> str:
     return "".join(f"{p.x!r} {p.y!r}\n" for p in points)
 
 
-def _read_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return Instance.from_points(parse_instance_text(text, source=path))
+
+
+def _read_instance(path: str) -> Instance:
+    return Instance.from_points(parse_instance_text(_read_text(path), source=path))
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -219,10 +222,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        with open(args.result, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.result}: {exc}") from exc
+        doc = json.loads(_read_text(args.result))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.result}: not valid JSON: {exc}") from exc
     try:

@@ -157,7 +157,9 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
 
 def speedup_ratio(instance: Instance, k: int) -> float:
     """Best-possible k-way time divided by the single-tour optimum, in (0, 1]."""
+    # the partition's lower point cap fails before an up to 18-point tour DP
+    best = optimal_partition(instance, k)
     tour = optimal_tour(instance)
     if tour.length == 0.0:
         raise ValueError("ratio undefined: optimal tour has zero length")
-    return optimal_partition(instance, k).value / tour.length
+    return best.value / tour.length

@@ -21,7 +21,6 @@ from .geometry import (
     ClosedTour,
     Diagonal,
     Point,
-    _as_points,
     _cumulative,
     _locate,
     _min_width,
@@ -160,58 +159,6 @@ def chord_at_arclength(tour: ClosedTour, x: float, u: tuple[float, float]) -> fl
     breakpoint past the smallest root found.
     """
     return _chord_root(tour._xs, tour._ys, tour._cum, x, u)[0]
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Two sub-tours sharing a diagonal, with the input points divided."""
-
-    diagonal: Diagonal
-    tour1: ClosedTour
-    tour2: ClosedTour
-    points1: tuple[Point, ...]
-    points2: tuple[Point, ...]
-
-
-def split_tour(
-    tour: ClosedTour, points: Union[Instance, Iterable[Point]], fraction: float
-) -> SplitResult:
-    """Split so the first side carries ``fraction`` of the tour's arclength.
-
-    The diagonal is no longer than length/pi, and each sub-tour's closing
-    edge is that diagonal.  A point at arclength s goes to the first side
-    when s is in [t_p, t_q) cyclically, so a point at the cut start goes
-    left and one at the cut end goes right; input order is kept on each
-    side.  A point equal to a tour vertex reads its arclength at the
-    vertex's first occurrence; any other point is placed by a scan over
-    the edges, so it must lie on the tour within 1e-9 of its length.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    pts = points.points if isinstance(points, Instance) else _as_points(points)
-    # equal coordinates share a key, as equal Points share a dict entry
-    key_of: dict[tuple[float, float], int] = {}
-    for i, pt in enumerate(pts):
-        key_of.setdefault((pt.x, pt.y), i)
-    ids = [key_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
-    members = [key_of[pt.x, pt.y] for pt in pts]
-    diagonal, left, right, sides = _split(
-        tour._xs, tour._ys, tour._cum, ids, fraction, members, pts, key_of
-    )
-    return SplitResult(
-        diagonal,
-        _closed(*left[:2]),
-        _closed(*right[:2]),
-        tuple(pt for pt, side in zip(pts, sides) if side),
-        tuple(pt for pt, side in zip(pts, sides) if not side),
-    )
-
-
-def halve_tour(
-    tour: ClosedTour, points: Union[Instance, Iterable[Point]]
-) -> SplitResult:
-    """Split at antipodal arclengths; both halves are at most (1/2 + 1/pi) of the tour."""
-    return split_tour(tour, points, 0.5)
 
 
 def equalizing_fraction(ratio_a: float, ratio_b: float) -> float:
@@ -424,8 +371,10 @@ def guaranteed_partition(
     guarantee is proved for.  A plan subtree that receives no points is
     neither cut nor kept, so ``diagonals`` holds only the cuts on the paths
     to kept pieces, and a zero-length tour (a single point) stays one
-    block.  Each level runs ``split_tour``'s cut step on the sub-tours'
-    coordinates; Points and ClosedTours are built only for the result.
+    block.  Each level runs one ``_split`` on the sub-tour's coordinates;
+    Points and ClosedTours are built only for the result.  A cut starting
+    on a near-duplicate vertex drops the earlier vertex from its sub-tour;
+    the next cut places that vertex's point by an O(m) edge scan.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)

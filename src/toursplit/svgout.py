@@ -7,6 +7,10 @@ self-contained SVG file with no external assets.
 
 from __future__ import annotations
 
+import math
+
+from .geometry import _unit_scale
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -26,9 +30,9 @@ def _coerce_xy(value) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(c, (int, float)) for c in value)
+        or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in value)
     ):
-        raise ValueError(f"expected an [x, y] pair, got {value!r}")
+        raise ValueError(f"expected an [x, y] pair of finite numbers, got {value!r}")
     return float(value[0]), float(value[1])
 
 
@@ -68,17 +72,23 @@ def render_svg(document: dict) -> str:
         ys.extend((a[1], b[1]))
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    span = max(xmax - xmin, ymax - ymin)
+    if span == math.inf:
+        raise ValueError("the coordinates span more than the float range")
+    # Offsets from the corner are scaled by the power of two that brings the
+    # span into [0.5, 1), exactly, so every scale draws the same pixels.
+    s = _unit_scale(span) if span else 1.0
+    span = span * s if span else 1e-9
     margin = span * _MARGIN_FRAC
     scale = _CANVAS / (span + 2.0 * margin)
-    width = (xmax - xmin + 2.0 * margin) * scale
-    height = (ymax - ymin + 2.0 * margin) * scale
+    width = ((xmax - xmin) * s + 2.0 * margin) * scale
+    height = ((ymax - ymin) * s + 2.0 * margin) * scale
 
     def to_px(p: tuple[float, float]) -> tuple[float, float]:
         # flip y so the drawing matches mathematical orientation
         return (
-            (p[0] - xmin + margin) * scale,
-            (ymax - p[1] + margin) * scale,
+            ((p[0] - xmin) * s + margin) * scale,
+            ((ymax - p[1]) * s + margin) * scale,
         )
 
     def fmt(points: list[tuple[float, float]]) -> str:

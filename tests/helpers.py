@@ -23,7 +23,9 @@ from toursplit import (
     Partition,
     Point,
     SolveResult,
+    chord_at_arclength,
     convex_hull,
+    min_width,
     split_plan,
 )
 from toursplit.geometry import _unit_scale
@@ -254,10 +256,10 @@ def naive_vertex_sides(tour: ClosedTour, diagonal, points):
     """Sides of the cut with each vertex point read at its first visit.
 
     The first visit is found by a linear search over the vertex list; any
-    other point takes the edge scan.  This is the assignment rule of
-    ``split_tour``, which the edge scan alone breaks on ties: a vertex
-    read an ulp before the cut start, or a collinear tour's vertex that
-    lies on an earlier edge.
+    other point takes the edge scan.  This is the assignment rule of each
+    cut of ``guaranteed_partition``, which the edge scan alone breaks on
+    ties: a vertex read an ulp before the cut start, or a collinear tour's
+    vertex that lies on an earlier edge.
     """
     ell = tour.length
     tol = 1e-9 * ell
@@ -272,6 +274,17 @@ def naive_vertex_sides(tour: ClosedTour, diagonal, points):
         rel = (s - diagonal.t_p) % ell
         (first if rel < span else second).append(pt)
     return tuple(first), tuple(second)
+
+
+def cut_diagonal(tour: ClosedTour, fraction: float) -> Diagonal:
+    """The diagonal cutting off ``fraction`` of the tour's length, from the
+    one-level primitives: the chord orthogonal to the minimum width's
+    normal, found by ``chord_at_arclength``."""
+    x = fraction * tour.length
+    _, normal = min_width(tour)
+    t = chord_at_arclength(tour, x, normal.orthogonal().unit)
+    t_q = (t + x) % tour.length
+    return Diagonal(tour.point_at(t), tour.point_at(t_q), t, t_q)
 
 
 def naive_subcurve(tour: ClosedTour, t1: float, t2: float) -> tuple:

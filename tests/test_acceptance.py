@@ -10,19 +10,22 @@ import time
 
 import pytest
 
-from helpers import brute_force_tour_length, random_instance, random_simple_tour
+from helpers import (
+    brute_force_tour_length,
+    cut_diagonal,
+    random_instance,
+    random_simple_tour,
+)
 from toursplit import (
     Instance,
     circle_limit_ratio,
     circle_points,
     circle_ratio,
-    halve_tour,
     guaranteed_partition,
     optimal_partition,
     optimal_tour,
     speedup_ratio,
     split_plan,
-    split_tour,
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
@@ -108,8 +111,7 @@ def test_criterion_5_halving_guarantee_on_optimal_tours():
     for _ in range(200):
         instance = random_instance(rng, rng.randint(4, 10))
         tour = optimal_tour(instance)
-        result = halve_tour(tour, instance)
-        ratio = max(result.tour1.length, result.tour2.length) / tour.length
+        ratio = guaranteed_partition(instance, tour, 2).value / tour.length
         assert ratio <= bound
     assert time.monotonic() - start < 60.0
     report(5, "halving optimal tours never exceeds 0.81832 on 200 instances")
@@ -121,7 +123,7 @@ def test_criterion_6_short_diagonal_property():
     for _ in range(1000):
         tour = random_simple_tour(rng, rng.randint(3, 16))
         frac = rng.uniform(0.02, 0.98)
-        diagonal = split_tour(tour, (), frac).diagonal
+        diagonal = cut_diagonal(tour, frac)
         x = frac * tour.length
         assert diagonal.length <= tour.length / math.pi + 1e-9
         span = (diagonal.t_q - diagonal.t_p) % tour.length

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,7 +17,8 @@ from helpers import plan_depth
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
 from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, split_plan
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 
@@ -364,3 +367,66 @@ class TestPlot:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["plot", str(bad), "--svg", str(tmp_path / "o.svg")]) == 2
+
+    def test_binary_file_exit_2_names_it(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["plot", str(path), "--svg", str(tmp_path / "o.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "tour",
+        [
+            "[[NaN, 0], [1, 1]]",
+            "[[0, Infinity], [1, 1]]",
+            "[[1e308, 0], [-1e308, 0]]",  # the span overflows
+        ],
+    )
+    def test_unplottable_coordinates_exit_2_name_the_file(self, tmp_path, capsys, tour):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"blocks": [{{"tour": {tour}}}]}}')
+        svg = tmp_path / "o.svg"
+        assert main(["plot", str(path), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("f", [2.0**-700, 2.0**900])
+    def test_power_of_two_scaling_draws_the_same_svg(self, tmp_path, capsys, f):
+        doc_path = self._split_doc(tmp_path, capsys, 3)
+        doc = json.loads(doc_path.read_text())
+        base = tmp_path / "base.svg"
+        assert main(["plot", str(doc_path), "--svg", str(base)]) == 0
+
+        def scaled(value):
+            if isinstance(value, float):
+                return value * f
+            return [scaled(v) for v in value]
+
+        for block in doc["blocks"]:
+            block["points"], block["tour"] = scaled(block["points"]), scaled(block["tour"])
+        doc["diagonals"] = scaled(doc["diagonals"])
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(doc))
+        svg = tmp_path / "far.svg"
+        assert main(["plot", str(far), "--svg", str(svg)]) == 0
+        assert svg.read_text() == base.read_text()
+
+
+def test_readme_cli_block_runs_as_documented(tmp_path, capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"## CLI\s.*?```sh\n(.*?)```", readme, re.S)
+    assert match, "README has no CLI code block"
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(command)
+        for line in match.group(1).splitlines()
+        for command in line.split("#", 1)[0].split("&&")
+        if command.strip()
+    ]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "toursplit"
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "r.svg").read_text().startswith("<?xml")

@@ -18,6 +18,7 @@ from toursplit import (
     optimal_tour,
     speedup_ratio,
 )
+from toursplit import kernels
 
 SIN_PI_8 = math.sin(math.pi / 8)
 SIN_3PI_8 = math.sin(3 * math.pi / 8)
@@ -206,6 +207,14 @@ class TestSpeedupRatio:
         assert inst.n == 1
         with pytest.raises(ValueError):
             speedup_ratio(inst, 2)
+
+    def test_partition_cap_fails_before_the_tour_is_solved(self, monkeypatch):
+        def unexpected(dist, n):
+            raise AssertionError("the tour DP ran before the partition cap was checked")
+
+        monkeypatch.setattr(kernels, "shortest_cycle", unexpected)
+        with pytest.raises(CapacityError, match="partition enumeration is limited"):
+            speedup_ratio(random_instance(random.Random(11), 14), 2)
 
     def test_always_in_unit_interval(self):
         # singleton-only partitions (k >= n) legitimately reach ratio 0

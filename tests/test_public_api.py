@@ -65,8 +65,8 @@ def test_library_example_runs_as_documented():
     assert names["tour"].length == 4.0
     assert names["best"].value == 2.0
     halves = names["halves"]
-    assert (halves.tour1.length, halves.tour2.length) == (3.0, 3.0)
-    assert halves.diagonal.length == 1.0
+    assert [t.length for t in halves.tours] == [3.0, 3.0]
+    assert halves.diagonals[0].length == 1.0
     plan = names["plan"]
     assert round(plan.ratio, 3) == 0.603
     assert plan.decomposition == "2*3"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cut_diagonal,
     ellipse_tour,
     leaf_count,
     naive_assign_points,
@@ -24,17 +25,14 @@ from toursplit import (
     Diagonal,
     Instance,
     Point,
-    SplitResult,
     bounds_table,
     chord_at_arclength,
     circle_points,
     equalizing_fraction,
     guaranteed_partition,
-    halve_tour,
     optimal_partition,
     optimal_tour,
     split_plan,
-    split_tour,
 )
 from toursplit import geometry, splitting
 from toursplit.splitting import _plan
@@ -126,16 +124,6 @@ def count_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(splitting, "_locate", counted)
     return calls
-
-
-def split_bits(result) -> str:
-    """Diagonal, both tours and both sides of a one-level split, as exact reprs."""
-    d = result.diagonal
-    return repr((
-        (d.p.x, d.p.y, d.q.x, d.q.y, d.t_p, d.t_q),
-        [[(v.x, v.y) for v in t.vertices] for t in (result.tour1, result.tour2)],
-        [[(p.x, p.y) for p in side] for side in (result.points1, result.points2)],
-    ))
 
 
 @st.composite
@@ -264,20 +252,20 @@ class TestChordSearch:
 class TestShortDiagonal:
     def test_rectangle_prescribed_half(self):
         rect = ClosedTour((Point(0, 0), Point(2, 0), Point(2, 1), Point(0, 1)))
-        d = split_tour(rect, (), 0.5).diagonal
+        d = cut_diagonal(rect, 0.5)
         assert d.length == pytest.approx(1.0, abs=1e-9)
         assert d.length <= rect.length / math.pi + 1e-9
         # chord is vertical: the min width direction of the rectangle
         assert d.p.x == pytest.approx(d.q.x, abs=1e-9)
 
     def test_square_half(self):
-        d = split_tour(SQUARE, (), 0.5).diagonal
+        d = cut_diagonal(SQUARE, 0.5)
         assert d.length == pytest.approx(1.0, abs=1e-9)
         assert d.length <= 4.0 / math.pi + 1e-9
 
     def test_polygon_halving_is_near_diameter(self):
         tour = regular_polygon_tour(100)
-        d = split_tour(tour, (), 0.5).diagonal
+        d = cut_diagonal(tour, 0.5)
         assert d.length == pytest.approx(2.0, abs=1e-3)
         assert d.length <= tour.length / math.pi + 1e-9
 
@@ -286,7 +274,7 @@ class TestShortDiagonal:
         for _ in range(100):
             tour = random_simple_tour(rng, rng.randint(3, 12))
             frac = rng.uniform(0.05, 0.95)
-            d = split_tour(tour, (), frac).diagonal
+            d = cut_diagonal(tour, frac)
             x = frac * tour.length
             span = (d.t_q - d.t_p) % tour.length
             assert abs(span - x) <= 1e-9 * tour.length
@@ -294,112 +282,106 @@ class TestShortDiagonal:
 
 
 class TestHalveTour:
+    """Two-way splitting: ``guaranteed_partition(..., 2)`` makes one halving cut."""
+
     def test_square_halves(self):
-        result = halve_tour(SQUARE, SQUARE_POINTS)
-        assert result.tour1.length == pytest.approx(3.0, abs=1e-9)
-        assert result.tour2.length == pytest.approx(3.0, abs=1e-9)
+        result = guaranteed_partition(SQUARE_POINTS, SQUARE, 2)
+        assert [t.length for t in result.tours] == pytest.approx([3.0, 3.0], abs=1e-9)
         bound = (0.5 + INV_PI) * SQUARE.length
-        assert max(result.tour1.length, result.tour2.length) <= bound + 1e-9
+        assert result.value <= bound + 1e-9
 
     def test_halves_always_equal(self):
         rng = random.Random(31)
         for _ in range(50):
             tour = random_simple_tour(rng, rng.randint(3, 10))
-            result = halve_tour(tour, tour.vertices)
-            assert abs(result.tour1.length - result.tour2.length) <= 1e-9 * tour.length
+            tour1, tour2 = guaranteed_partition(tour.vertices, tour, 2).tours
+            assert abs(tour1.length - tour2.length) <= 1e-9 * tour.length
             bound = (0.5 + INV_PI) * tour.length + 1e-9
-            assert result.tour1.length <= bound
-            assert result.tour2.length <= bound
+            assert tour1.length <= bound
+            assert tour2.length <= bound
 
     def test_two_point_degenerate(self):
         tour = ClosedTour((Point(0, 0), Point(2, 0)))
-        result = halve_tour(tour, tour.vertices)
-        assert result.tour1.length == pytest.approx(2.0, abs=1e-9)
-        assert result.tour2.length == pytest.approx(2.0, abs=1e-9)
-        assert result.diagonal.length == pytest.approx(0.0, abs=1e-9)
+        result = guaranteed_partition(tour.vertices, tour, 2)
+        assert [t.length for t in result.tours] == pytest.approx([2.0, 2.0], abs=1e-9)
+        assert result.diagonals[0].length == pytest.approx(0.0, abs=1e-9)
 
     def test_circle_ratio_approaches_limit_from_below(self):
         limit = 0.5 + INV_PI
         previous = 0.0
         for n in (8, 16, 32, 64, 128):
             tour = regular_polygon_tour(n)
-            result = halve_tour(tour, tour.vertices)
-            ratio = max(result.tour1.length, result.tour2.length) / tour.length
+            ratio = guaranteed_partition(tour.vertices, tour, 2).value / tour.length
             assert previous < ratio < limit + 1e-12
             previous = ratio
         assert previous == pytest.approx(limit, abs=1e-3)
 
 
 class TestSplitTour:
-    def test_half_fraction_matches_halving(self):
-        a = split_tour(SQUARE, SQUARE_POINTS, 0.5)
-        b = halve_tour(SQUARE, SQUARE_POINTS)
-        assert a.tour1.length == pytest.approx(b.tour1.length, abs=1e-12)
-        assert a.diagonal.t_p == pytest.approx(b.diagonal.t_p, abs=1e-12)
+    """Cuts at any fraction, from the one-level primitives and ``subcurve``."""
+
+    @staticmethod
+    def sides(tour: ClosedTour, d: Diagonal) -> tuple[ClosedTour, ClosedTour]:
+        return ClosedTour(tour.subcurve(d.t_p, d.t_q)), ClosedTour(tour.subcurve(d.t_q, d.t_p))
 
     def test_quarter_fraction_contract(self):
-        result = split_tour(SQUARE, SQUARE_POINTS, 0.25)
-        assert result.tour1.length <= 1.0 + 4.0 / math.pi + 1e-9
-        assert result.tour2.length <= 3.0 + 4.0 / math.pi + 1e-9
+        tour1, tour2 = self.sides(SQUARE, cut_diagonal(SQUARE, 0.25))
+        assert tour1.length <= 1.0 + 4.0 / math.pi + 1e-9
+        assert tour2.length <= 3.0 + 4.0 / math.pi + 1e-9
 
     def test_rectangle_third(self):
         rect = ClosedTour((Point(0, 0), Point(2, 0), Point(2, 1), Point(0, 1)))
-        result = split_tour(rect, rect.vertices, 1.0 / 3.0)
-        assert result.tour1.length == pytest.approx(
-            2.0 + result.diagonal.length, rel=1e-9
-        )
-        assert result.diagonal.length <= 6.0 / math.pi + 1e-9
+        d = cut_diagonal(rect, 1.0 / 3.0)
+        tour1, _ = self.sides(rect, d)
+        assert tour1.length == pytest.approx(2.0 + d.length, rel=1e-9)
+        assert d.length <= 6.0 / math.pi + 1e-9
 
     def test_lengths_follow_the_cut(self):
         rng = random.Random(37)
         for _ in range(60):
             tour = random_simple_tour(rng, rng.randint(3, 12))
             frac = rng.uniform(0.05, 0.95)
-            result = split_tour(tour, tour.vertices, frac)
+            d = cut_diagonal(tour, frac)
+            tour1, tour2 = self.sides(tour, d)
             x = frac * tour.length
-            d = result.diagonal.length
-            assert result.tour1.length == pytest.approx(x + d, rel=1e-9, abs=1e-9)
-            assert result.tour2.length == pytest.approx(
-                tour.length - x + d, rel=1e-9, abs=1e-9
+            assert tour1.length == pytest.approx(x + d.length, rel=1e-9, abs=1e-9)
+            assert tour2.length == pytest.approx(
+                tour.length - x + d.length, rel=1e-9, abs=1e-9
             )
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            split_tour(SQUARE, SQUARE_POINTS, 0.0)
-        with pytest.raises(ValueError):
-            split_tour(SQUARE, SQUARE_POINTS, 1.0)
 
 
 class TestAssignPoints:
     def test_square_halving_assignment(self):
         # input order is preserved within each side
-        result = halve_tour(SQUARE, SQUARE_POINTS)
-        d = result.diagonal
+        result = guaranteed_partition(SQUARE_POINTS, SQUARE, 2)
+        (d,) = result.diagonals
         assert (d.p.x, d.p.y) == pytest.approx((0.5, 0.0), abs=1e-9)
         assert (d.q.x, d.q.y) == pytest.approx((0.5, 1.0), abs=1e-9)
-        assert result.points1 == (Point(1, 0), Point(1, 1))
-        assert result.points2 == (Point(0, 0), Point(0, 1))
-
-    def test_cut_endpoints_tie_break(self):
-        d = split_tour(SQUARE, (), 0.5).diagonal
-        result = split_tour(SQUARE, (d.p, d.q), 0.5)
-        assert result.diagonal == d
-        assert result.points1 == (d.p,)
-        assert result.points2 == (d.q,)
-
-    def test_point_off_tour_rejected(self):
-        with pytest.raises(ValueError):
-            split_tour(SQUARE, (Point(0.5, 0.5),), 0.5)
+        assert result.partition.blocks == (
+            (Point(1, 0), Point(1, 1)),
+            (Point(0, 0), Point(0, 1)),
+        )
 
     def test_sides_match_the_edge_scan(self):
-        # chord_tours() adds small tours with zero-length edges and closing
-        # repeats; its six large tours would only slow the O(m^2) references
+        # the root cut's sides from the cut step that guaranteed_partition
+        # runs at every level; chord_tours() adds small tours with
+        # zero-length edges and closing repeats, and its six large tours
+        # would only slow the O(m^2) references
         for tour in parity_tours() + chord_tours()[6:]:
+            pts = Instance.from_points(tour.vertices).points
+            key_of = {(p.x, p.y): i for i, p in enumerate(pts)}
+            ids = [key_of[(v.x, v.y)] for v in tour.vertices]
             for k in PARITY_KS:
-                result = split_tour(tour, tour.vertices, split_plan(k).root.fraction)
-                sides = (result.points1, result.points2)
-                assert sides == naive_vertex_sides(tour, result.diagonal, tour.vertices)
-                assert sides == naive_assign_points(tour, result.diagonal, tour.vertices)
+                d, _, _, flags = splitting._split(
+                    tour._xs, tour._ys, tour._cum, ids,
+                    split_plan(k).root.fraction, range(len(pts)), pts, key_of,
+                )
+                sides = (
+                    tuple(p for p, side in zip(pts, flags) if side),
+                    tuple(p for p, side in zip(pts, flags) if not side),
+                )
+                assert sides == naive_vertex_sides(tour, d, pts)
+                assert sides == naive_assign_points(tour, d, pts)
 
     def test_repeated_vertex_reads_its_first_visit(self):
         # the tour passes the origin at arclengths 0 and 2 + sqrt(2), half
@@ -408,56 +390,36 @@ class TestAssignPoints:
         o = Point(0, 0)
         tour = ClosedTour((o, Point(1, 0), Point(1, 1), o, Point(-1, 0), Point(-1, -1)))
         pts = (o, Point(1, 1))
-        result = halve_tour(tour, pts)
-        d = result.diagonal
+        result = guaranteed_partition(pts, tour, 2)
+        (d,) = result.diagonals
         span = (d.t_q - d.t_p) % tour.length
         first_visit, second_visit = (
             (s - d.t_p) % tour.length < span for s in tour.vertex_arclengths[::3]
         )
         assert first_visit != second_visit
-        sides = (result.points1, result.points2)
-        assert (o in result.points1) == first_visit
-        assert sides == naive_vertex_sides(tour, d, pts)
-        assert sides == naive_assign_points(tour, d, pts)
+        blocks = result.partition.blocks
+        assert (o in blocks[0]) == first_visit
+        for sides in (naive_vertex_sides(tour, d, pts), naive_assign_points(tour, d, pts)):
+            assert blocks == tuple(side for side in sides if side)
 
     def test_vertex_points_skip_the_edge_scan(self, monkeypatch):
         tour = ellipse_tour(random.Random(10_000), 10_000)
         calls = count_scans(monkeypatch)
-        halve_tour(tour, tour.vertices)
         result = guaranteed_partition(tour.vertices, tour, 8)
         assert calls == []
         bound = split_plan(8).ratio * tour.length
         assert all(t.length <= bound + 1e-9 for t in result.tours)
         assert all(d.length <= tour.length * INV_PI + 1e-9 for d in result.diagonals)
 
-    def test_edge_midpoints_take_the_edge_scan(self, monkeypatch):
-        tour = random_simple_tour(random.Random(71), 40)
-        verts = tour.vertices
-        mids = tuple(
-            Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-            for a, b in zip(verts, verts[1:] + verts[:1])
-        )
-        calls = count_scans(monkeypatch)
-        result = split_tour(tour, mids, 0.4)
-        d, first, second = result.diagonal, result.points1, result.points2
-        assert len(calls) == len(mids)
-        span = (d.t_q - d.t_p) % tour.length
-        cum = tour.vertex_arclengths + (tour.length,)
-        for i, mid in enumerate(mids):
-            rel = ((cum[i] + cum[i + 1]) / 2.0 - d.t_p) % tour.length
-            assert (mid in first) == (rel < span)
-            assert (mid in second) == (rel >= span)
-
     def test_every_assigned_point_lies_on_its_tour(self):
         rng = random.Random(41)
         for _ in range(50):
             tour = random_simple_tour(rng, rng.randint(4, 12))
-            result = split_tour(tour, tour.vertices, rng.uniform(0.1, 0.9))
+            result = guaranteed_partition(tour.vertices, tour, rng.randint(2, 8))
             tol = 1e-6 * tour.length
-            for pt in result.points1:
-                assert result.tour1.arclength_of(pt, tol) >= 0.0
-            for pt in result.points2:
-                assert result.tour2.arclength_of(pt, tol) >= 0.0
+            for block, piece in zip(result.partition.blocks, result.tours):
+                for pt in block:
+                    assert piece.arclength_of(pt, tol) >= 0.0
 
 
 class TestEqualizingFraction:
@@ -624,24 +586,38 @@ class TestGuaranteedPartition:
 
     def test_matches_the_edge_scan_and_every_edge_width(self):
         # bit for bit against the recursion over ClosedTours with the
-        # every-edge width, the bisecting chord search and the edge scan
-        for tour in parity_tours():
+        # every-edge width, the bisecting chord search and the edge scan;
+        # chord_tours() adds small tours with zero-length edges and closing
+        # repeats, and its six large tours would only slow the O(m^2) oracle
+        for tour in parity_tours() + chord_tours()[6:]:
             for k in PARITY_KS:
                 got = guaranteed_partition(tour.vertices, tour, k)
                 ref = naive_guaranteed_partition(tour.vertices, tour, k, naive_assign_points)
                 assert result_bits(got) == result_bits(ref)
 
     def test_two_way_split_is_the_halving_cut(self):
-        # halve_tour and guaranteed_partition run one cut step: at k = 2
-        # the partition's single cut is the halving, bit for bit
+        # at k = 2 the partition's single cut is the halving cut that the
+        # one-level primitives find, bit for bit
         for tour in parity_tours():
-            if len(set(tour.vertices)) < len(tour.vertices):
-                continue
-            half = halve_tour(tour, tour.vertices)
-            two = guaranteed_partition(tour.vertices, tour, 2)
-            assert len(two.diagonals) == 1
-            got = SplitResult(two.diagonals[0], *two.tours, *two.partition.blocks)
-            assert split_bits(got) == split_bits(half)
+            (d,) = guaranteed_partition(tour.vertices, tour, 2).diagonals
+            assert repr(d) == repr(cut_diagonal(tour, 0.5))
+
+    def test_near_duplicate_cut_start_takes_the_edge_scan(self, monkeypatch):
+        # Each tour has two vertices 1e-17 or an ulp apart, at one arclength.
+        # At k = 4 a cut starts there: its sub-tour starts at the later
+        # vertex, so the earlier vertex's point is placed by the edge scan.
+        calls = count_scans(monkeypatch)
+        for verts, scanned in (
+            ([(0, 0), (1, 0), (1, 1e-17), (2, 0), (2, 1), (1, 1), (0, 1)], (1, 0)),
+            ([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 1.0000000000000002), (0, 1)], (1, 1)),
+        ):
+            tour = ClosedTour(tuple(Point(*v) for v in verts))
+            calls.clear()
+            got = guaranteed_partition(tour.vertices, tour, 4)
+            assert calls == [scanned]
+            for assign in (naive_vertex_sides, naive_assign_points):
+                ref = naive_guaranteed_partition(tour.vertices, tour, 4, assign)
+                assert result_bits(got) == result_bits(ref)
 
     def test_matches_the_recursive_oracle_on_scale_tours(self):
         for tour in scale_tours():
