@@ -5,6 +5,12 @@ programs over vertex subsets and the min-max partition search.  The
 compiled module ``_core`` runs the same dynamic programs: every table cell
 receives the same candidates, in the same order, under the same strict
 comparison, so both lanes produce bit-identical results, ties included.
+
+The pure subset table skips the candidates that are always INF: a path
+that ends at its mask's anchor exists only in the anchor's singleton, so
+the compiled lane's ``prev == anchor`` candidate from a larger mask reads
+an unset cell.  Each cell starts at INF and an INF candidate never passes
+the strict comparison, so dropping it changes no cell.
 """
 
 from __future__ import annotations
@@ -82,28 +88,35 @@ def cycle_lengths_by_subset(dist: list[float], n: int) -> list[float]:
     full = 1 << n
     values = [0.0] * full
     dp = [INF] * (full * n)
+    cols = [dist[j::n] for j in range(n)]  # cols[last][prev] = dist[prev*n+last]
+    members_of = [()] * full
     for mask in range(1, full):
-        anchor = (mask & -mask).bit_length() - 1
-        if mask == 1 << anchor:
-            dp[mask * n + anchor] = 0.0
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        members = members_of[mask] = members_of[rest] + (top,)
+        if not rest:
+            dp[mask * n + top] = 0.0
             continue
-        members = [i for i in range(n) if (mask >> i) & 1]
+        anchor = members[0]
+        tail = members[1:]
+        # the anchor ends a path only in its singleton, so it is a live
+        # predecessor only when the mask has two members
+        prevs = tail if len(tail) > 1 else members
         base = mask * n
+        back = cols[anchor]
         best = INF
-        for last in members:
-            if last == anchor:
-                continue
-            pm = mask ^ (1 << last)
-            pbase = pm * n
+        for last in tail:
+            pbase = (mask ^ (1 << last)) * n
+            col = cols[last]
             cur = INF
-            for prev in members:
+            for prev in prevs:
                 if prev == last:
                     continue
-                cand = dp[pbase + prev] + dist[prev * n + last]
+                cand = dp[pbase + prev] + col[prev]
                 if cand < cur:
                     cur = cand
             dp[base + last] = cur
-            closed = cur + dist[last * n + anchor]
+            closed = cur + back[last]
             if closed < best:
                 best = closed
         values[mask] = best

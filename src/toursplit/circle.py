@@ -15,7 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import CapacityError, Instance, speedup_ratio, tour_values_by_subset
+from .exact import (
+    CapacityError,
+    Instance,
+    _check_partition,
+    _ratio_from_table,
+    tour_values_by_subset,
+)
 from .geometry import Point
 
 MAX_EXHAUSTIVE_POINTS = 12
@@ -68,11 +74,26 @@ def circle_limit_ratio(k: int) -> float:
 
 @lru_cache(maxsize=None)
 def _subset_values(n: int) -> list[float]:
+    """The n-circle's subset table, shared by circle_ratio and the checks."""
+    return tour_values_by_subset(circle_points(n).instance())
+
+
+def _exhaustive_values(n: int) -> list[float]:
+    """The table for an exhaustive check, whose cap is below the table's."""
     if n > MAX_EXHAUSTIVE_POINTS:
         raise CapacityError(
             f"exhaustive circle checks are limited to {MAX_EXHAUSTIVE_POINTS} points, got {n}"
         )
-    return tour_values_by_subset(circle_points(n).instance())
+    return _subset_values(n)
+
+
+@lru_cache(maxsize=None)
+def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nonempty masks over n points grouped by size, each group ascending."""
+    groups: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        groups[mask.bit_count()].append(mask)
+    return tuple(map(tuple, groups))
 
 
 def _indices_of(mask: int, n: int) -> tuple[int, ...]:
@@ -99,16 +120,13 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
     """
     if not 1 <= m <= n:
         raise ValueError(f"arc size must be in 1..{n}, got {m}")
-    values = _subset_values(n)
+    values = _exhaustive_values(n)
     arc_mask = (1 << m) - 1
     arc_value = values[arc_mask]
     min_value = math.inf
     min_mask = arc_mask
-    checked = 0
-    for mask in range(1, 1 << n):
-        if bin(mask).count("1") != m:
-            continue
-        checked += 1
+    masks = _masks_by_size(n)[m]
+    for mask in masks:
         v = values[mask]
         if v < min_value:
             min_value = v
@@ -124,7 +142,7 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
         arc_value=arc_value,
         min_value=min_value,
         min_subset=_indices_of(min_mask, n),
-        subsets_checked=checked,
+        subsets_checked=len(masks),
     )
 
 
@@ -135,20 +153,18 @@ def verify_gap_fill_monotonicity(n: int, tol: float = 1e-9) -> int:
     VerificationError on any move that increases the exact tour value by
     more than ``tol``.  Returns the number of moves checked.
     """
-    values = _subset_values(n)
+    values = _exhaustive_values(n)
     moves = 0
+    # a mask's members are those of the mask without its top bit, plus that bit
+    members_of: list[tuple[int, ...]] = [()] * (1 << n)
     for mask in range(1, 1 << n):
-        members = _indices_of(mask, n)
+        top = mask.bit_length()
+        members = members_of[mask] = members_of[mask ^ (1 << (top - 1))] + (top,)
         if len(members) == n or len(members) == 1:
             continue
-        member_set = set(members)
-        for i in members:
-            j = i % n + 1
-            gap = 1
-            while j not in member_set:
-                j = j % n + 1
-                gap += 1
-            if gap < 2:
+        # j is i's next member, cyclically, so the gap after i ends at j
+        for i, j in zip(members, members[1:] + members[:1]):
+            if (j - i) % n < 2:
                 continue
             successor = i % n + 1
             new_mask = mask & ~(1 << (j - 1)) | (1 << (successor - 1))
@@ -174,4 +190,5 @@ def circle_ratio(n: int, k: int) -> float:
         raise ValueError(f"need at least 2 circle points, got {n}")
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
-    return speedup_ratio(circle_points(n).instance(), k)
+    _check_partition(n, k)
+    return _ratio_from_table(circle_points(n).instance(), _subset_values(n), k)

@@ -24,7 +24,14 @@ from .circle import (
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
-from .exact import CapacityError, Instance, optimal_partition, optimal_tour
+from .exact import (
+    CapacityError,
+    Instance,
+    _check_partition,
+    _partition_from_table,
+    optimal_tour,
+    tour_values_by_subset,
+)
 from .geometry import ClosedTour, Point
 from .splitting import ChordSearchError, bounds_table, guaranteed_partition, split_plan
 from .svgout import render_svg
@@ -166,8 +173,10 @@ def cmd_split(args: argparse.Namespace) -> int:
         guarantee = plan.ratio
         optimal_length = tour.length
     else:
-        result = optimal_partition(instance, args.k)
-        optimal_length = optimal_tour(instance).length
+        _check_partition(instance.n, args.k)
+        values = tour_values_by_subset(instance)
+        result = _partition_from_table(instance, values, args.k)
+        optimal_length = values[-1]  # the optimal tour's length, to the bit
         extra = {"k": args.k, "strategy": "exact", "bound": None}
         guarantee = None
     doc = _result_document(

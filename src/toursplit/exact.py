@@ -127,20 +127,22 @@ def tour_values_by_subset(instance: Instance) -> list[float]:
     return values
 
 
-def optimal_partition(instance: Instance, k: int) -> SolveResult:
-    """Partition into at most ``k`` blocks minimizing the longest block tour.
-
-    Every partition is considered, so this is exact; the search reuses one
-    precomputed tour value per subset.
-    """
+def _check_partition(n: int, k: int) -> None:
+    """Reject a bad ``k`` and an ``n`` over the partition cap."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = instance.n
     if n > MAX_PARTITION_POINTS:
         raise CapacityError(
             f"partition enumeration is limited to {MAX_PARTITION_POINTS} points, got {n}"
         )
-    values = tour_values_by_subset(instance)
+
+
+def _partition_from_table(instance: Instance, values: list[float], k: int) -> SolveResult:
+    """The optimal partition read from ``values``, the instance's subset table.
+
+    Each block's tour is solved again, since the table keeps lengths only.
+    """
+    n = instance.n
     _, labels = kernels.min_max_partition(values, n, min(k, n))
     block_count = max(labels) + 1
     blocks: list[list[Point]] = [[] for _ in range(block_count)]
@@ -155,11 +157,29 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
     )
 
 
+def _ratio_from_table(instance: Instance, values: list[float], k: int) -> float:
+    """OPT_k / OPT_1 read from the instance's subset table.
+
+    The table anchors the whole set at point 0 and gives each cell the same
+    sums as the Held-Karp tour DP, so its last entry is OPT_1 to the bit.
+    """
+    best = _partition_from_table(instance, values, k)
+    if values[-1] == 0.0:
+        raise ValueError("ratio undefined: optimal tour has zero length")
+    return best.value / values[-1]
+
+
+def optimal_partition(instance: Instance, k: int) -> SolveResult:
+    """Partition into at most ``k`` blocks minimizing the longest block tour.
+
+    Every partition is considered, so this is exact; the search reuses one
+    precomputed tour value per subset.
+    """
+    _check_partition(instance.n, k)
+    return _partition_from_table(instance, tour_values_by_subset(instance), k)
+
+
 def speedup_ratio(instance: Instance, k: int) -> float:
     """Best-possible k-way time divided by the single-tour optimum, in (0, 1]."""
-    # the partition's lower point cap fails before an up to 18-point tour DP
-    best = optimal_partition(instance, k)
-    tour = optimal_tour(instance)
-    if tour.length == 0.0:
-        raise ValueError("ratio undefined: optimal tour has zero length")
-    return best.value / tour.length
+    _check_partition(instance.n, k)
+    return _ratio_from_table(instance, tour_values_by_subset(instance), k)

@@ -36,6 +36,12 @@ def _coerce_xy(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of [x, y] pairs, got {value!r}")
+    return value
+
+
 def render_svg(document: dict) -> str:
     """Render a tsp/split result document as an SVG string.
 
@@ -55,12 +61,12 @@ def render_svg(document: dict) -> str:
     for block in blocks:
         if not isinstance(block, dict) or "tour" not in block:
             raise ValueError("each block needs a 'tour' vertex list")
-        tour = [_coerce_xy(v) for v in block["tour"]]
+        tour = [_coerce_xy(v) for v in _as_list(block["tour"], "a block's tour")]
         if not tour:
             raise ValueError("block tours must be nonempty")
         tours.append(tour)
-        dots.extend(_coerce_xy(v) for v in block.get("points", []))
-    cuts = [tuple(_coerce_xy(v) for v in pair) for pair in diagonals]
+        dots.extend(_coerce_xy(v) for v in _as_list(block.get("points", []), "a block's points"))
+    cuts = [tuple(_coerce_xy(v) for v in _as_list(pair, "a diagonal")) for pair in diagonals]
     for cut in cuts:
         if len(cut) != 2:
             raise ValueError("each diagonal needs exactly two endpoints")

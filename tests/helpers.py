@@ -4,12 +4,13 @@ The oracles here are deliberately naive (permutation and set-partition
 enumeration, per-point edge scans, every-edge width projections, a chord
 search that locates every breakpoint by bisection, guaranteed splitting
 as a recursion over ClosedTours, the Held-Karp tour DP over the full
-``2^n * n`` table) so they stay independent of the library's solver
-paths.
+``2^n * n`` table, the subset-table DP trying every predecessor) so they
+stay independent of the library's solver paths.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -29,6 +30,7 @@ from toursplit import (
     split_plan,
 )
 from toursplit.geometry import _unit_scale
+from toursplit.splitting import PlanNode, _combine, _graft
 
 
 def dist(a, b) -> float:
@@ -84,6 +86,46 @@ def naive_shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
         cur = nxt
     order.reverse()
     return best, order
+
+
+def naive_cycle_lengths_by_subset(dist: list[float], n: int) -> list[float]:
+    """The pure kernel's subset-table DP before its leaner loop: members
+    bit-tested per mask, distances read from the flat matrix, and every
+    predecessor tried, the always-INF anchor included.  Kept as it was, so
+    the pure lane stays checked without a C compiler."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    if n > 24:
+        raise ValueError("subset table would exceed the kernel's memory budget")
+    full = 1 << n
+    values = [0.0] * full
+    dp = [math.inf] * (full * n)
+    for mask in range(1, full):
+        anchor = (mask & -mask).bit_length() - 1
+        if mask == 1 << anchor:
+            dp[mask * n + anchor] = 0.0
+            continue
+        members = [i for i in range(n) if (mask >> i) & 1]
+        base = mask * n
+        best = math.inf
+        for last in members:
+            if last == anchor:
+                continue
+            pm = mask ^ (1 << last)
+            pbase = pm * n
+            cur = math.inf
+            for prev in members:
+                if prev == last:
+                    continue
+                cand = dp[pbase + prev] + dist[prev * n + last]
+                if cand < cur:
+                    cur = cand
+            dp[base + last] = cur
+            closed = cur + dist[last * n + anchor]
+            if closed < best:
+                best = closed
+        values[mask] = best
+    return values
 
 
 def brute_force_tour_length(points) -> float:
@@ -352,6 +394,28 @@ def projection_width(points, theta: float) -> float:
 def chain_length(points) -> float:
     """Length of the open polygonal path through the points."""
     return sum(dist(a, b) for a, b in zip(points, points[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def naive_plan(k: int) -> tuple:
+    """The split-plan search building a node for every candidate, a sum
+    candidate that cannot balance being skipped by its ValueError."""
+    if k == 1:
+        return PlanNode(1, 1.0), "trivial"
+    best = None
+    for a in range(2, k):
+        if k % a == 0 and a <= k // a:
+            cand = _graft(naive_plan(a)[0], naive_plan(k // a)[0])
+            if best is None or cand.ratio < best[0].ratio - 1e-12:
+                best = (cand, f"{a}*{k // a}")
+    for a in range(1, k // 2 + 1):
+        try:
+            cand = _combine(naive_plan(a)[0], naive_plan(k - a)[0])
+        except ValueError:
+            continue
+        if best is None or cand.ratio < best[0].ratio - 1e-12:
+            best = (cand, f"{a}+{k - a}")
+    return best
 
 
 def leaf_count(node) -> int:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import toursplit.circle
 from helpers import plan_depth
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
-from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, split_plan
+from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, kernels, split_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -303,6 +304,49 @@ class TestCircleCommand:
         assert code == 4
 
 
+class TestOneTablePerJob:
+    """An oracle job builds its subset table once and reads OPT_1 from it."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
+        calls = []
+        for name in ("shortest_cycle", "cycle_lengths_by_subset"):
+            def counted(dist, n, name=name, original=getattr(kernels, name)):
+                calls.append((name, n))
+                return original(dist, n)
+
+            monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    def test_circle_verify(self, capsys, monkeypatch):
+        # a fresh cache, so the job builds its table as from a cold start
+        cold = lru_cache(maxsize=None)(toursplit.circle._subset_values.__wrapped__)
+        monkeypatch.setattr(toursplit.circle, "_subset_values", cold)
+        calls = self.kernel_calls(monkeypatch)
+        code, out = run(capsys, ["circle", "-n", "12", "-k", "5", "--verify"])
+        assert code == 0 and "gap_fill_monotonicity n=12: pass" in out
+        assert [c for c in calls if c[0] == "cycle_lengths_by_subset"] == [
+            ("cycle_lengths_by_subset", 12)
+        ]
+        assert ("shortest_cycle", 12) not in calls
+
+    def test_exact_split(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        assert main(["gen", "-n", "13", "--seed", "3", "--out", str(path)]) == 0
+        calls = self.kernel_calls(monkeypatch)
+        code, out = run(capsys, ["split", str(path), "-k", "3", "--strategy", "exact"])
+        assert code == 0
+        doc = json.loads(out)
+        assert [c for c in calls if c[0] == "cycle_lengths_by_subset"] == [
+            ("cycle_lengths_by_subset", 13)
+        ]
+        assert ("shortest_cycle", 13) not in calls
+        # the block re-solve still produces every tour
+        assert [c[1] for c in calls if c[0] == "shortest_cycle"] == [
+            len(b["points"]) for b in doc["blocks"] if len(b["points"]) > 1
+        ]
+
+
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -390,6 +434,24 @@ class TestPlot:
         svg = tmp_path / "o.svg"
         assert main(["plot", str(path), "--svg", str(svg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "document, what",
+        [
+            ('{"blocks": [{"tour": 5}]}', "a block's tour"),
+            ('{"blocks": [{"tour": [[0,0]]}], "diagonals": [5]}', "a diagonal"),
+            ('{"blocks": [{"tour": [[0,0]], "points": 3}]}', "a block's points"),
+        ],
+    )
+    def test_a_number_for_a_vertex_list_exits_2_names_the_file(
+        self, tmp_path, capsys, document, what
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        svg = tmp_path / "o.svg"
+        assert main(["plot", str(path), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {what} must be a list")
         assert not svg.exists()
 
     @pytest.mark.parametrize("f", [2.0**-700, 2.0**900])

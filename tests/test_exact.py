@@ -17,6 +17,7 @@ from toursplit import (
     optimal_partition,
     optimal_tour,
     speedup_ratio,
+    tour_values_by_subset,
 )
 from toursplit import kernels
 
@@ -183,6 +184,24 @@ class TestOptimalPartition:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             optimal_partition(square_instance(), 0)
+
+
+class TestSubsetTable:
+    def test_last_entry_is_the_optimal_tour_length(self):
+        # speedup_ratio and split --strategy exact read OPT_1 from it
+        rng = random.Random(12)
+        cases = [
+            random_instance(rng, n, scale=scale)
+            for n in range(1, 14)
+            for scale in (1.0, 2.0**900, 2.0**-900)
+        ]
+        cases += [
+            Instance.from_points([(x, y) for x in range(cols) for y in range(rows)])
+            for rows, cols in ((1, 5), (3, 3), (3, 4), (2, 6))
+        ]
+        for inst in cases:
+            last = tour_values_by_subset(inst)[-1]
+            assert last.hex() == optimal_tour(inst).length.hex(), inst.n
 
 
 class TestSpeedupRatio:

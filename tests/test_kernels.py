@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     brute_force_partition_value,
     brute_force_tour_length,
+    naive_cycle_lengths_by_subset,
     naive_shortest_cycle,
     random_points,
 )
@@ -111,6 +112,19 @@ class TestPureLane:
             assert _core_py.shortest_cycle(dist, len(pts)) == naive_shortest_cycle(dist, len(pts))
         dist = flat_distances(cases[-1])
         assert _core_py.shortest_cycle(dist, 6) == (math.inf, [])
+
+    def test_subset_table_matches_the_full_candidate_loop(self):
+        # dropping the always-INF candidates must keep every value to the bit
+        rng = random.Random(108)
+        cases = [random_points(rng, n, scale=rng.choice([1.0, 100.0])) for n in range(1, 14)]
+        cases += [random_points(rng, n) for n in range(1, 11) for _ in range(3)]
+        cases += [circle_points(n).points for n in (3, 4, 6, 8, 12, 13)]
+        cases += [grid(3, 4), grid(2, 6), overflowing_points(rng, 6)]
+        for pts in cases:
+            dist = flat_distances(pts)
+            table = _core_py.cycle_lengths_by_subset(dist, len(pts))
+            assert table == naive_cycle_lengths_by_subset(dist, len(pts))
+        assert table[-1] == math.inf
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

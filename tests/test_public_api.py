@@ -64,6 +64,7 @@ def test_library_example_runs_as_documented():
     exec(library_example(), names)
     assert names["tour"].length == 4.0
     assert names["best"].value == 2.0
+    assert names["ratio"] == 0.5
     halves = names["halves"]
     assert [t.length for t in halves.tours] == [3.0, 3.0]
     assert halves.diagonals[0].length == 1.0

@@ -15,6 +15,7 @@ from helpers import (
     naive_assign_points,
     naive_chord_at_arclength,
     naive_guaranteed_partition,
+    naive_plan,
     naive_vertex_sides,
     random_instance,
     random_simple_tour,
@@ -511,6 +512,13 @@ class TestSplitPlan:
 
         for k in range(1, 13):
             walk(split_plan(k).root)
+
+    def test_plans_match_the_search_that_builds_every_candidate(self):
+        # scoring sum candidates as floats must pick and build the same plans
+        for k in range(1, 301):
+            naive_plan(k)  # bottom-up, so the reference recursion stays shallow
+            assert repr(split_plan(k).root) == repr(naive_plan(k)[0]), k
+            assert split_plan(k).decomposition == naive_plan(k)[1], k
 
     def test_cold_cache_needs_no_deep_recursion(self):
         _plan.cache_clear()
