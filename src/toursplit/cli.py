@@ -15,7 +15,8 @@ import argparse
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from .circle import (
     VerificationError,
@@ -84,6 +85,17 @@ def _read_instance(path: str) -> Instance:
     return Instance.from_points(parse_instance_text(_read_text(path), source=path))
 
 
+@contextmanager
+def _solving(path: str) -> Iterator[None]:
+    """Name ``path`` in the capacity and input errors its points raise."""
+    try:
+        yield
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -148,7 +160,8 @@ def _emit_document(doc: dict, out: Optional[str]) -> None:
 
 def cmd_tsp(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
-    tour = optimal_tour(instance)
+    with _solving(args.input):
+        tour = optimal_tour(instance)
     doc = _result_document(
         command="tsp",
         path=args.input,
@@ -166,16 +179,18 @@ def cmd_tsp(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     if args.strategy == "guaranteed":
-        plan = split_plan(args.k)
-        tour = optimal_tour(instance)
-        result = guaranteed_partition(instance, tour, args.k)
+        plan = split_plan(args.k)  # the -k cap, an argument error
+        with _solving(args.input):
+            tour = optimal_tour(instance)
+            result = guaranteed_partition(instance, tour, args.k)
         extra = {"k": args.k, "strategy": "guaranteed", "bound": plan.ratio * tour.length}
         guarantee = plan.ratio
         optimal_length = tour.length
     else:
-        _check_partition(instance.n, args.k)
-        values = tour_values_by_subset(instance)
-        result = _partition_from_table(instance, values, args.k)
+        with _solving(args.input):
+            _check_partition(instance.n, args.k)
+            values = tour_values_by_subset(instance)
+            result = _partition_from_table(instance, values, args.k)
         optimal_length = values[-1]  # the optimal tour's length, to the bit
         extra = {"k": args.k, "strategy": "exact", "bound": None}
         guarantee = None

@@ -31,14 +31,10 @@ from .geometry import (
 
 INV_PI = 1.0 / math.pi
 
-# The largest k that split_plan accepts.  Building a plan takes Theta(k^2)
-# time; cold, k = 1000 takes about 0.3 s in pure Python (2-core x86_64,
-# Python 3.11), so a much larger k would stall the CLI without a message.
-MAX_SPLIT_K = 1000
-
-# Candidate decompositions within this of each other are treated as equal,
-# keeping the product label on exact mathematical ties.
-_TIE_TOL = 1e-12
+# The largest k that split_plan accepts.  A plan is built in O(log k) steps,
+# but `bounds` prints one row per k: at this cap it takes about 1.5 s and
+# 90 MB (2-core x86_64, Python 3.11), and three times the cap takes 5 s.
+MAX_SPLIT_K = 100_000
 
 
 class ChordSearchError(RuntimeError):
@@ -202,13 +198,6 @@ def _combine(left: PlanNode, right: PlanNode) -> PlanNode:
     return PlanNode(left.size + right.size, ratio, left, right, x)
 
 
-def _graft(outer: PlanNode, inner: PlanNode) -> PlanNode:
-    """Replace every leaf of ``outer`` with ``inner``, rebalancing fractions."""
-    if outer.is_leaf:
-        return inner
-    return _combine(_graft(outer.left, inner), _graft(outer.right, inner))
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """A binary splitting recipe for k salespeople with guaranteed ratio."""
@@ -229,52 +218,33 @@ class SplitPlan:
 def _plan(k: int) -> tuple[PlanNode, str]:
     if k == 1:
         return PlanNode(1, 1.0), "trivial"
-    best: Optional[tuple[PlanNode, str]] = None
-    for a in range(2, k):
-        if k % a == 0 and a <= k // a:
-            cand = _graft(_plan(a)[0], _plan(k // a)[0])
-            if best is None or cand.ratio < best[0].ratio - _TIE_TOL:
-                best = (cand, f"{a}*{k // a}")
-    # Sum candidates are scored by _combine's ratio, computed with the
-    # expressions of equalizing_fraction, and only the winner is built.
-    best_ratio = math.inf if best is None else best[0].ratio
-    best_a = 0
-    ratios = [_plan(j)[0].ratio for j in range(1, k)]
-    for a, ra, rb in zip(range(1, k // 2 + 1), ratios, reversed(ratios)):
-        total = ra + rb
-        x = rb / total + (rb - ra) / (math.pi * total)
-        if not 0.0 < x < 1.0:
-            # unbalanceable pair: a near-balanced alternative always beats it
-            continue
-        ratio = (x + INV_PI) * ra
-        other = (1.0 - x + INV_PI) * rb
-        if other > ratio:
-            ratio = other
-        if ratio < best_ratio - _TIE_TOL:
-            best_ratio = ratio
-            best_a = a
-    if best_a:
-        best = (_combine(_plan(best_a)[0], _plan(k - best_a)[0]), f"{best_a}+{k - best_a}")
-    assert best is not None
-    return best
+    if k % 2 == 0 and k >= 4:
+        half = _plan(k // 2)[0]
+        return _combine(half, half), f"2*{k // 2}"
+    top = 1 << (k.bit_length() - 1)
+    a = max(top // 2, k - top)
+    return _combine(_plan(a)[0], _plan(k - a)[0]), f"{a}+{k - a}"
 
 
 def split_plan(k: int) -> SplitPlan:
-    """Best known splitting recipe for ``k``: sum and product rules combined.
+    """The splitting recipe for ``k``: a balanced tree built by a rule.
 
-    Sum decompositions a+b cost (1 + 2/pi) * g(a)g(b) / (g(a)+g(b)); product
-    decompositions a*b cost g(a)g(b).  When both achieve the minimum the
-    product label is reported.  A k above ``MAX_SPLIT_K`` raises
-    CapacityError.
+    P(1) is a leaf.  An even k >= 4 is two halves, labelled 2*(k/2).  Any
+    other k, with 2^d <= k < 2^(d+1), is a + (k - a) with a = max(2^(d-1),
+    k - 2^d), labelled a+(k-a).  Every leaf sits at depth d or d + 1.  A
+    sum cut a + b gives c * g(a)g(b) / (g(a) + g(b)) with c = 1 + 2/pi, so
+    1/g adds c^-depth over the leaves and the plan's ratio is
+
+        g(k) = 1 / ((2^(d+1) - k) * c^-d + 2(k - 2^d) * c^-(d+1)).
+
+    These are the trees, labels and ratios that a search over every sum
+    a + b and product a * b of smaller plans picks, for every k checked
+    (k <= 1000).  A k above ``MAX_SPLIT_K`` raises CapacityError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_SPLIT_K:
         raise CapacityError(f"split plans are limited to k = {MAX_SPLIT_K}, got {k}")
-    # _plan(k) recurses through _plan(k - 1); filling the cache bottom-up
-    # keeps that recursion one level deep for any k.
-    for j in range(1, k):
-        _plan(j)
     node, label = _plan(k)
     return SplitPlan(node, label)
 
@@ -293,8 +263,7 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     """Lower and upper bounds on the worst-case k-way ratio for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    # fails over the cap before any row is built, and fills the plan cache
-    split_plan(k_max)
+    split_plan(k_max)  # fails over the cap before any row is built
     rows = []
     for k in range(1, k_max + 1):
         node, label = _plan(k)

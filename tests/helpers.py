@@ -4,8 +4,9 @@ The oracles here are deliberately naive (permutation and set-partition
 enumeration, per-point edge scans, every-edge width projections, a chord
 search that locates every breakpoint by bisection, guaranteed splitting
 as a recursion over ClosedTours, the Held-Karp tour DP over the full
-``2^n * n`` table, the subset-table DP trying every predecessor) so they
-stay independent of the library's solver paths.
+``2^n * n`` table, the subset-table DP trying every predecessor, the
+split-plan search building every sum and product candidate) so they stay
+independent of the library's solver paths.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from toursplit import (
     split_plan,
 )
 from toursplit.geometry import _unit_scale
-from toursplit.splitting import PlanNode, _combine, _graft
+from toursplit.splitting import PlanNode, _combine
 
 
 def dist(a, b) -> float:
@@ -394,6 +395,13 @@ def projection_width(points, theta: float) -> float:
 def chain_length(points) -> float:
     """Length of the open polygonal path through the points."""
     return sum(dist(a, b) for a, b in zip(points, points[1:]))
+
+
+def _graft(outer: PlanNode, inner: PlanNode) -> PlanNode:
+    """Replace every leaf of ``outer`` with ``inner``, rebalancing fractions."""
+    if outer.is_leaf:
+        return inner
+    return _combine(_graft(outer.left, inner), _graft(outer.right, inner))
 
 
 @functools.lru_cache(maxsize=None)

@@ -88,8 +88,11 @@ class TestTsp:
 
     def test_capacity_exit_3(self, tmp_path, capsys):
         lines = "".join(f"{i} {i * i % 7}\n" for i in range(20))
-        code = main(["tsp", write(tmp_path, "big.txt", lines)])
+        path = write(tmp_path, "big.txt", lines)
+        code = main(["tsp", path])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"capacity: {path}: exact tours are limited to 18 points, got 20\n"
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["tsp", "/nonexistent/file.txt"]) == 2
@@ -189,6 +192,14 @@ class TestSplit:
             for p, q in doc["diagonals"]:
                 assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
 
+    def test_exact_over_the_partition_cap_names_the_file(self, tmp_path, capsys):
+        path = write(tmp_path, "big.txt", "".join(f"{i} {i * i % 7}\n" for i in range(14)))
+        code = main(["split", path, "-k", "2", "--strategy", "exact"])
+        assert code == 3
+        err = capsys.readouterr().err
+        limit = "partition enumeration is limited to 13 points, got 14"
+        assert err == f"capacity: {path}: {limit}\n"
+
     def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def explode(xs, ys, cum, x, u):
             raise ChordSearchError("forced failure")
@@ -229,6 +240,13 @@ class TestSplitCap:
         # only the cuts on the paths to the five kept pieces are made
         assert len(doc["diagonals"]) <= 5 * plan_depth(split_plan(MAX_SPLIT_K).root)
 
+    def test_bounds_at_the_cap_prints_every_row(self):
+        proc = self.run_cli("bounds", str(MAX_SPLIT_K))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == MAX_SPLIT_K + 1
+        assert lines[-1].startswith(f"{MAX_SPLIT_K},")
+
 
 class TestOverflow:
     @pytest.mark.parametrize(
@@ -237,6 +255,7 @@ class TestOverflow:
             "1.6e308 0\n0 1.6e308\n0 0\n",  # a distance overflows
             "1e308 0\n-1e308 0\n",  # on a line
             "1e308 0\n0 0\n",  # finite distances, every tour overflows
+            "1e308 1e308\n-1e308 -1e308\n",  # the one distance overflows
         ],
     )
     @pytest.mark.parametrize(
@@ -253,7 +272,7 @@ class TestOverflow:
         code = main(args[:1] + [path] + args[1:])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "overflow" in err
+        assert err.startswith(f"error: {path}: ") and "overflow" in err
 
 
 class TestBounds:

@@ -21,6 +21,7 @@ from helpers import (
     random_simple_tour,
 )
 from toursplit import (
+    MAX_SPLIT_K,
     ChordSearchError,
     ClosedTour,
     Diagonal,
@@ -514,21 +515,37 @@ class TestSplitPlan:
             walk(split_plan(k).root)
 
     def test_plans_match_the_search_that_builds_every_candidate(self):
-        # scoring sum candidates as floats must pick and build the same plans
-        for k in range(1, 301):
+        # the closed rule must build the plans the search picks, bit for bit:
+        # == on the frozen nodes compares every size, ratio and fraction
+        # exactly, and is ten times faster than comparing their reprs
+        for k in range(1, 1001):
             naive_plan(k)  # bottom-up, so the reference recursion stays shallow
-            assert repr(split_plan(k).root) == repr(naive_plan(k)[0]), k
+            assert split_plan(k).root == naive_plan(k)[0], k
             assert split_plan(k).decomposition == naive_plan(k)[1], k
+
+    def test_ratio_matches_the_closed_form(self):
+        c = 1.0 + 2.0 / math.pi
+
+        def g(k):
+            d = k.bit_length() - 1
+            return 1.0 / ((2 ** (d + 1) - k) * c**-d + 2 * (k - 2**d) * c ** -(d + 1))
+
+        rng = random.Random(11)
+        ks = [*range(1, 257), MAX_SPLIT_K, *rng.sample(range(257, MAX_SPLIT_K), 500)]
+        for k in ks:
+            assert split_plan(k).ratio == pytest.approx(g(k), rel=1e-15, abs=0.0), k
+        # the rule itself has no cap: 60 levels deep, still to the last bits
+        assert _plan(2**60)[0].ratio == pytest.approx(g(2**60), rel=1e-15, abs=0.0)
 
     def test_cold_cache_needs_no_deep_recursion(self):
         _plan.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            plan = split_plan(300)
+            plan = split_plan(MAX_SPLIT_K)
         finally:
             sys.setrecursionlimit(limit)
-        assert plan.k == 300
+        assert plan.k == MAX_SPLIT_K
 
 
 class TestBoundsTable:
