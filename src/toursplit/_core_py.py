@@ -6,6 +6,31 @@ compiled module ``_core`` runs the same dynamic programs: every table cell
 receives the same candidates, in the same order, under the same strict
 comparison, so both lanes produce bit-identical results, ties included.
 
+The pure tour DP expands only the cells that can still lie on an optimal
+tour, and those cells get the compiled lane's candidates in its order.
+``_tour_bounds`` gives UB, the length of a real tour, and for each cell
+(mask, last) a lower bound B on any path from ``last`` through the points
+outside ``mask`` back to 0.  A cell holding g is expanded only if
+``g + B <= UB * (1 + 1e-9)``.  Why the result cannot change:
+
+- Let T be the tour the unpruned loop returns, of float length OPT.  UB
+  is summed in the DP's own order, so OPT <= UB.
+- A cell on T holds T's prefix sum g, and the rest of T is such a path,
+  of exact length R >= B.  OPT sums R's edges onto g one rounding at a
+  time, so g + B <= g + R <= OPT * (1 + n * 2^-53).  The computed test
+  adds at most about n^2 * 2^-52 * UB more, and every term is kept within
+  a small multiple of UB, so the 1e-9 slack covers it: every cell on T is
+  expanded.
+- Pruning only removes candidates, so no cell's value falls.  Each cell
+  on T still receives its winning candidate, every candidate before it
+  was larger, and the final scan and the parent walk pick T again.
+
+The slack is proven only while every distance lies in [0, 2^1000] and UB
+is at least 2^-1000: below that, halving a subnormal distance rounds by
+more than the slack, and above it the sums may overflow.  Outside that
+range the bounds are zero and the limit is the largest float, so the
+same loop skips only the unreached (INF) cells, as the unpruned loop does.
+
 The pure subset table skips the candidates that are always INF: a path
 that ends at its mask's anchor exists only in the anchor's singleton, so
 the compiled lane's ``prev == anchor`` candidate from a larger mask reads
@@ -15,7 +40,128 @@ the strict comparison, so dropping it changes no cell.
 
 from __future__ import annotations
 
+import sys
+from itertools import compress
+from operator import add
+
 INF = float("inf")
+_FLOAT_MAX = sys.float_info.max
+_HUGE = 2.0**1000
+_TINY = 2.0**-1000
+_SLACK = 1.0 + 1e-9
+_ASCENT_STEPS = 16
+
+
+def _short_tour(rows: list[list[float]], n: int, start: int) -> list[int]:
+    """A short closed tour under the symmetric distances ``rows``, from
+    point 0: nearest neighbour from ``start``, then 2-opt and or-opt moves
+    until none shortens it by more than rounding noise."""
+    tour = [start]
+    left = set(range(n)) - {start}
+    while left:
+        nearest = min(left, key=rows[tour[-1]].__getitem__)
+        left.remove(nearest)
+        tour.append(nearest)
+    eps = 1e-12 * sum(rows[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+    improved = True
+    while improved:
+        improved = False
+        # 2-opt: reverse tour[i+1 .. k]
+        for i in range(n - 2):
+            a, b = tour[i], tour[i + 1]
+            ra, rb = rows[a], rows[b]
+            for k in range(i + 2, n if i else n - 1):
+                c, d = tour[k], tour[(k + 1) % n]
+                if ra[c] + rb[d] < ra[b] + rows[c][d] - eps:
+                    tour[i + 1 : k + 1] = tour[k:i:-1]
+                    b = tour[i + 1]
+                    rb = rows[b]
+                    improved = True
+        # or-opt: move a run of one to three points between two others
+        for run in range(1, min(3, n - 2) + 1):
+            for i in range(n):
+                r = tour[i:] + tour[:i]
+                s, e, p, q = r[0], r[run - 1], r[-1], r[run]
+                rs, re = rows[s], rows[e]
+                gain = rows[p][s] + re[q] - rows[p][q] - eps
+                for j in range(run, n - 1):
+                    x, y = r[j], r[j + 1]
+                    rx = rows[x]
+                    if rx[s] + re[y] - rx[y] < gain:
+                        tour = r[run : j + 1] + r[:run] + r[j + 1 :]
+                    elif rx[e] + rs[y] - rx[y] < gain:
+                        tour = r[run : j + 1] + r[run - 1 :: -1] + r[j + 1 :]
+                    else:
+                        continue
+                    improved = True
+                    break
+    k = tour.index(0)
+    return tour[k:] + tour[:k]
+
+
+def _tour_bounds(rows: list[list[float]], n: int) -> tuple[float, list[float], list[float]]:
+    """Pruning terms of the tour DP: ``(limit, weight, tail)``.
+
+    ``limit`` is the length of a short tour, found by local search, times
+    ``1 + 1e-9``.  Any path from ``last`` through the points outside
+    ``mask`` back to 0 is at least ``tail[last]`` plus ``weight[v]`` summed
+    over those points.  The terms use node penalties ``pi`` (Held and
+    Karp's Lagrangian trick): under ``d'(a, b) = d(a, b) + pi[a] + pi[b]``
+    such a path is longer by exactly ``pi[last] + pi[0]`` plus ``2 * pi[v]``
+    for each point v it passes, and each such point meets two distinct
+    neighbours on it (n >= 3), ``last`` and 0 one each.  So half the two
+    shortest ``d'`` edges at each point to visit, plus half the shortest at
+    ``last`` and at 0, less those penalties, is a bound for any ``pi``;
+    ``pi = 0`` gives the plain form.  A short subgradient ascent picks a
+    ``pi`` that raises the bound on a whole tour.  Each distance is read as
+    the shorter of its two directions, which no path can beat.
+
+    Outside n >= 3, distances in [0, 2^1000] and a tour of at least
+    2^-1000, the 1e-9 slack is not proven to cover rounding: the terms are
+    then zero and the limit is the largest float, so the DP skips only its
+    unreached cells.
+    """
+    unpruned = (_FLOAT_MAX, [0.0] * n, [0.0] * n)
+    if n < 3 or not all(0.0 <= d <= _HUGE for row in rows for d in row):
+        return unpruned
+    sym = [list(map(min, row, col)) for row, col in zip(rows, zip(*rows))]
+    ub = INF
+    for start in (0, n // 2):
+        tour = _short_tour(sym, n, start)
+        length = 0.0
+        for a, b in zip(tour, tour[1:] + [0]):  # summed in the DP's own order
+            length += rows[a][b]
+        ub = min(ub, length)
+    if not ub >= _TINY:
+        return unpruned
+    pi = [0.0] * n
+    best = -INF
+    rate = 2.0
+    for _ in range(_ASCENT_STEPS):
+        weight, end, surplus = [], [], [-2] * n
+        for v, (row, p) in enumerate(zip(sym, pi)):
+            reach = list(map(add, row, pi))  # d'(v, x) - pi[v]
+            reach[v] = INF
+            m1 = min(reach)
+            x1 = reach.index(m1)
+            reach[x1] = INF
+            m2 = min(reach)
+            surplus[x1] += 1
+            surplus[reach.index(m2)] += 1
+            weight.append(0.5 * (m1 + m2) - p)
+            end.append(0.5 * (m1 - p))
+        lb = sum(weight)
+        if lb > best:
+            best, best_weight, best_end = lb, weight, end
+        else:
+            rate *= 0.8
+        norm = sum(g * g for g in surplus)
+        if not (norm and ub > lb):
+            break
+        step = rate * (ub - lb) / norm
+        # |pi| <= ub keeps every term within a small multiple of ub
+        pi = [min(ub, max(-ub, p + step * g)) for p, g in zip(pi, surplus)]
+    return ub * _SLACK, best_weight, [e + best_end[0] for e in best_end]
 
 
 def shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
@@ -31,23 +177,50 @@ def shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
     if n == 1:
         return 0.0, [0]
     full = 1 << n
+    masks = full >> 1  # those holding point 0
     rows = [dist[i * n : (i + 1) * n] for i in range(n)]
+    limit, weight, tail = _tour_bounds(rows, n)
     # Only masks that hold point 0 are reachable, so mask's row starts at
     # (mask >> 1) * n; adding point j moves (1 << j >> 1) * n + j cells on.
     step = [(1 << j >> 1) * n + j for j in range(n)]
-    size = (full >> 1) * n
+    # For each half of the points 1..n-1, by sub-mask: its members, its free
+    # points with their cell steps, and its members' weight.  A mask's bound
+    # is then limit less the weight of the points outside it.
+    low = (n - 1) // 2
+    parts = []
+    for points in (range(1, low + 1), range(low + 1, n)):
+        members, free, held = [[]], [[]], [0.0]
+        for j in points:
+            members += [m + [j] for m in members]
+            free = [f + [(step[j], j)] for f in free] + free
+            held += [w + weight[j] for w in held]
+        parts.append(list(zip(members, free, held)))
+    lows, highs = parts
+    lows[0] = ([0], lows[0][1], 0.0)  # last = 0 holds a value only in mask {0}
+    low_bits = (1 << low) - 1
+    offset = limit - sum(weight[1:])
+    size = masks * n
     dp = [INF] * size
     parent = [-1] * size
     dp[0] = 0.0  # mask {0}, last vertex 0
+    live = bytearray(masks)  # masks that an expanded cell has reached
+    live[0] = 1
     # each cell (mask | 1 << j, j) hears only from mask, last rising: the
     # candidate order of the compiled lane's full-table loop
-    for mask in range(1, full - 1, 2):
-        base = (mask >> 1) * n
-        outs = [(base + step[j], j) for j in range(1, n) if not mask >> j & 1]
-        for last in range(n):
+    for h in compress(range(masks - 1), live):
+        members_lo, free_lo, held_lo = lows[h & low_bits]
+        members_hi, free_hi, held_hi = highs[h >> low]
+        bound = offset + held_lo + held_hi
+        base = h * n
+        outs = None
+        for last in members_lo + members_hi:
             cur = dp[base + last]
-            if cur == INF:
+            if cur + tail[last] > bound:
                 continue
+            if outs is None:
+                outs = [(base + off, j) for off, j in free_lo + free_hi]
+                for _, j in outs:
+                    live[h | 1 << j >> 1] = 1
             row = rows[last]
             for idx, j in outs:
                 cand = cur + row[j]

@@ -1,5 +1,6 @@
 """Solver kernels: both lanes agree with each other and with brute force."""
 
+import itertools
 import math
 import os
 import random
@@ -34,6 +35,29 @@ def grid(rows: int, cols: int) -> list[Point]:
 def overflowing_points(rng: random.Random, n: int) -> list[Point]:
     """Points whose distances are finite but whose every tour overflows."""
     return random_points(rng, n, scale=1e308)
+
+
+def collinear(n: int) -> list[Point]:
+    """Evenly spaced points on a line: every out-and-back tour ties."""
+    return [Point(float(x), 0.0) for x in range(n)]
+
+
+def shuffled_lattice(rng: random.Random, n: int, side: int) -> list[Point]:
+    """``n`` distinct points of a ``side x side`` integer lattice, shuffled."""
+    pts = grid(side, side)
+    rng.shuffle(pts)
+    return pts[:n]
+
+
+def bound_cases(rng: random.Random):
+    """Small instances for the pruning bounds: uniform, tie-heavy, far scales."""
+    for n in range(3, 9):
+        yield random_points(rng, n)
+        yield random_points(rng, n, scale=rng.choice([2.0**900, 2.0**-900]))
+        yield shuffled_lattice(rng, n, 3)
+        yield collinear(n)
+    yield circle_points(8).points
+    yield grid(2, 4)
 
 
 class TestPureLane:
@@ -100,13 +124,65 @@ class TestPureLane:
             assert value == best_value
             assert labels == expected
 
+    def test_tour_bounds_never_exceed_the_rest_of_a_tour(self):
+        # for every (mask, last): the bound on a path from last through the
+        # points outside mask back to 0 is at most the shortest such path,
+        # up to rounding far inside the limit's 1e-9 slack
+        rng = random.Random(109)
+        for pts in bound_cases(rng):
+            n = len(pts)
+            dist = flat_distances(pts)
+            rows = [dist[i * n : (i + 1) * n] for i in range(n)]
+            limit, weight, tail = _core_py._tour_bounds(rows, n)
+            assert limit < sys.float_info.max
+            for mask in range(1, 1 << n, 2):
+                outside = [v for v in range(1, n) if not mask >> v & 1]
+                lasts = [0] if mask == 1 else [v for v in range(1, n) if mask >> v & 1]
+                for last in lasts:
+                    shortest = min(
+                        sum(dist[a * n + b] for a, b in zip((last, *order), (*order, 0)))
+                        for order in itertools.permutations(outside)
+                    )
+                    bound = sum(weight[v] for v in outside) + tail[last]
+                    assert bound <= shortest + 1e-12 * limit, (pts, mask, last)
+
+    def test_tour_bounds_limit_is_at_least_the_optimum(self):
+        rng = random.Random(110)
+        for i in range(500):
+            n = rng.randint(3, 8)
+            pts = [random_points(rng, n), shuffled_lattice(rng, n, 3), collinear(n)][i % 3]
+            rng.shuffle(pts)
+            dist = flat_distances(pts)
+            rows = [dist[j * n : (j + 1) * n] for j in range(n)]
+            limit, _, _ = _core_py._tour_bounds(rows, n)
+            assert limit >= naive_shortest_cycle(dist, n)[0]
+
+    def test_tour_bounds_switch_off_outside_the_proven_range(self):
+        # subnormal spacing, distances past 2^1000, and n < 3: nothing pruned
+        tiny = [Point(i * 5e-324, (i % 3) * 5e-324) for i in range(6)]
+        far = [Point(i * 1e305, (i % 2) * 1e305) for i in range(6)]
+        for pts in (tiny, far, collinear(2)):
+            n = len(pts)
+            dist = flat_distances(pts)
+            rows = [dist[j * n : (j + 1) * n] for j in range(n)]
+            assert _core_py._tour_bounds(rows, n) == (sys.float_info.max, [0.0] * n, [0.0] * n)
+
     def test_shortest_cycle_matches_the_full_table_loop(self):
-        # the half-size table must keep every value, order and tie-break
+        # pruning and the half-size table must keep every value, order and
+        # tie-break of the unpruned full-table loop
         rng = random.Random(106)
         cases = [random_points(rng, n, scale=rng.choice([1.0, 100.0])) for n in range(1, 13)]
         cases += [random_points(rng, n) for n in range(1, 13) for _ in range(3)]
         cases += [circle_points(n).points for n in (3, 4, 6, 8, 12)]
-        cases += [grid(3, 4), grid(2, 6), overflowing_points(rng, 6)]
+        cases += [grid(3, 4), grid(2, 6)]
+        cases += [shuffled_lattice(rng, n, side) for n, side in ((9, 3), (12, 4), (13, 4))]
+        cases += [collinear(12), rng.sample(collinear(14), 14)]
+        cases += [random_points(rng, n, scale=2.0**e) for n in (8, 12) for e in (900, -900)]
+        # subnormal spacing: halving a distance rounds, so nothing is pruned
+        cases += [[Point(p.x * 5e-324, p.y * 5e-324) for p in shuffled_lattice(rng, 9, 4)]]
+        # near overflow: pruned just inside 2^1000, not pruned past it
+        cases += [random_points(rng, 9, scale=1e300), random_points(rng, 9, scale=1e306)]
+        cases += [overflowing_points(rng, 6)]
         for pts in cases:
             dist = flat_distances(pts)
             assert _core_py.shortest_cycle(dist, len(pts)) == naive_shortest_cycle(dist, len(pts))
@@ -163,6 +239,9 @@ class TestLaneParity:
             grid(4, 4),
             circle_points(16).points,
             grid(3, 6),  # n = 18, MAX_EXACT_POINTS
+            collinear(18),  # ties everywhere: the least pruned input
+            random_points(rng, 18),
+            random_points(rng, 18),
         ]
         for pts in cases:
             dist = flat_distances(pts)
