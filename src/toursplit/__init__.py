@@ -7,7 +7,6 @@ closed-form circle lower bounds with exhaustive verification, and a CLI.
 
 from .circle import (
     ArcOptimalityReport,
-    CirclePointSet,
     VerificationError,
     arc_tour_length,
     circle_limit_ratio,
@@ -42,7 +41,6 @@ from .splitting import (
     MAX_SPLIT_K,
     ChordSearchError,
     PlanNode,
-    SplitPlan,
     bounds_table,
     chord_at_arclength,
     equalizing_fraction,
@@ -57,7 +55,6 @@ __all__ = [
     "BoundsRow",
     "CapacityError",
     "ChordSearchError",
-    "CirclePointSet",
     "ClosedTour",
     "Diagonal",
     "Direction",
@@ -70,7 +67,6 @@ __all__ = [
     "Point",
     "SOLVER_BACKEND",
     "SolveResult",
-    "SplitPlan",
     "VerificationError",
     "arc_tour_length",
     "bounds_table",

@@ -25,31 +25,21 @@ from .exact import (
 from .geometry import Point
 
 MAX_EXHAUSTIVE_POINTS = 12
+# How far a subset may beat its arc, or a gap fill raise a tour value,
+# before an exhaustive check fails: the rounding of the exact solvers.
+CHECK_TOL = 1e-9
 
 
 class VerificationError(Exception):
     """An exhaustive optimality check failed."""
 
 
-@dataclass(frozen=True)
-class CirclePointSet:
+def circle_points(n: int) -> Instance:
     """``n`` points equally spaced on the unit circle, p_i at angle 2*pi*i/n."""
-
-    n: int
-    points: tuple[Point, ...]
-
-    def instance(self) -> Instance:
-        return Instance(self.points)
-
-
-def circle_points(n: int) -> CirclePointSet:
     if n < 2:
         raise ValueError(f"need at least 2 circle points, got {n}")
-    pts = tuple(
-        Point(math.cos(2.0 * math.pi * i / n), math.sin(2.0 * math.pi * i / n))
-        for i in range(1, n + 1)
-    )
-    return CirclePointSet(n, pts)
+    angles = (2.0 * math.pi * i / n for i in range(1, n + 1))
+    return Instance(tuple(Point(math.cos(a), math.sin(a)) for a in angles))
 
 
 def arc_tour_length(n: int, m: int) -> float:
@@ -75,7 +65,7 @@ def circle_limit_ratio(k: int) -> float:
 @lru_cache(maxsize=None)
 def _subset_values(n: int) -> list[float]:
     """The n-circle's subset table, shared by circle_ratio and the checks."""
-    return tour_values_by_subset(circle_points(n).instance())
+    return tour_values_by_subset(circle_points(n))
 
 
 def _exhaustive_values(n: int) -> list[float]:
@@ -112,11 +102,11 @@ class ArcOptimalityReport:
     subsets_checked: int
 
 
-def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityReport:
+def verify_arc_optimality(n: int, m: int) -> ArcOptimalityReport:
     """Check that the leading arc is a cheapest m-subset of the n-circle.
 
     Solves every m-subset exactly and raises VerificationError if any beats
-    the arc by more than ``tol``.
+    the arc by more than ``CHECK_TOL``.
     """
     if not 1 <= m <= n:
         raise ValueError(f"arc size must be in 1..{n}, got {m}")
@@ -131,7 +121,7 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
         if v < min_value:
             min_value = v
             min_mask = mask
-    if arc_value > min_value + tol:
+    if arc_value > min_value + CHECK_TOL:
         raise VerificationError(
             f"subset {_indices_of(min_mask, n)} of the {n}-circle beats the "
             f"{m}-arc: {min_value} < {arc_value}"
@@ -146,12 +136,12 @@ def verify_arc_optimality(n: int, m: int, tol: float = 1e-9) -> ArcOptimalityRep
     )
 
 
-def verify_gap_fill_monotonicity(n: int, tol: float = 1e-9) -> int:
+def verify_gap_fill_monotonicity(n: int) -> int:
     """Exhaustively check that every valid gap-fill move never costs tour length.
 
     Runs over all subsets of the n-circle and all valid (i, j) pairs; raises
     VerificationError on any move that increases the exact tour value by
-    more than ``tol``.  Returns the number of moves checked.
+    more than ``CHECK_TOL``.  Returns the number of moves checked.
     """
     values = _exhaustive_values(n)
     moves = 0
@@ -170,7 +160,7 @@ def verify_gap_fill_monotonicity(n: int, tol: float = 1e-9) -> int:
             new_mask = mask & ~(1 << (j - 1)) | (1 << (successor - 1))
             delta = values[mask] - values[new_mask]
             moves += 1
-            if delta < -tol:
+            if delta < -CHECK_TOL:
                 raise VerificationError(
                     f"gap fill on subset {members} of the {n}-circle (i={i}, j={j}) "
                     f"increased the tour value by {-delta}"
@@ -191,4 +181,4 @@ def circle_ratio(n: int, k: int) -> float:
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
     _check_partition(n, k)
-    return _ratio_from_table(circle_points(n).instance(), _subset_values(n), k)
+    return _ratio_from_table(circle_points(n), _subset_values(n), k)

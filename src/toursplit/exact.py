@@ -79,10 +79,6 @@ class Partition:
                     raise ValueError("partition blocks must be disjoint")
                 seen.add(key)
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -171,11 +171,6 @@ class ClosedTour:
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
 
-    @property
-    def vertex_arclengths(self) -> tuple[float, ...]:
-        """Arclength position of each vertex, in traversal order."""
-        return self._cum[:-1]
-
     def point_at(self, t: float) -> Point:
         """The point at arclength ``t`` (taken modulo the tour length)."""
         if self.length == 0.0:

@@ -179,13 +179,18 @@ def equalizing_fraction(ratio_a: float, ratio_b: float) -> float:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One node of a binary split plan covering ``size`` salespeople."""
+    """One node of a binary split plan covering ``size`` salespeople.
+
+    ``decomposition`` names the root cut: ``2*h`` for two equal halves of
+    size h >= 2, ``a+b`` for any other pair of sizes, ``trivial`` for a leaf.
+    """
 
     size: int
     ratio: float
     left: Optional["PlanNode"] = None
     right: Optional["PlanNode"] = None
     fraction: Optional[float] = None
+    decomposition: str = "trivial"
 
     @property
     def is_leaf(self) -> bool:
@@ -195,45 +200,32 @@ class PlanNode:
 def _combine(left: PlanNode, right: PlanNode) -> PlanNode:
     x = equalizing_fraction(left.ratio, right.ratio)
     ratio = max((x + INV_PI) * left.ratio, (1.0 - x + INV_PI) * right.ratio)
-    return PlanNode(left.size + right.size, ratio, left, right, x)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """A binary splitting recipe for k salespeople with guaranteed ratio."""
-
-    root: PlanNode
-    decomposition: str
-
-    @property
-    def k(self) -> int:
-        return self.root.size
-
-    @property
-    def ratio(self) -> float:
-        return self.root.ratio
+    a, b = left.size, right.size
+    label = f"2*{a}" if a == b >= 2 else f"{a}+{b}"
+    return PlanNode(a + b, ratio, left, right, x, label)
 
 
 @lru_cache(maxsize=None)
-def _plan(k: int) -> tuple[PlanNode, str]:
+def _plan(k: int) -> PlanNode:
     if k == 1:
-        return PlanNode(1, 1.0), "trivial"
-    if k % 2 == 0 and k >= 4:
-        half = _plan(k // 2)[0]
-        return _combine(half, half), f"2*{k // 2}"
-    top = 1 << (k.bit_length() - 1)
-    a = max(top // 2, k - top)
-    return _combine(_plan(a)[0], _plan(k - a)[0]), f"{a}+{k - a}"
+        return PlanNode(1, 1.0)
+    if k % 2 == 0:
+        a = k // 2
+    else:
+        top = 1 << (k.bit_length() - 1)
+        a = max(top // 2, k - top)
+    return _combine(_plan(a), _plan(k - a))
 
 
-def split_plan(k: int) -> SplitPlan:
+def split_plan(k: int) -> PlanNode:
     """The splitting recipe for ``k``: a balanced tree built by a rule.
 
-    P(1) is a leaf.  An even k >= 4 is two halves, labelled 2*(k/2).  Any
-    other k, with 2^d <= k < 2^(d+1), is a + (k - a) with a = max(2^(d-1),
-    k - 2^d), labelled a+(k-a).  Every leaf sits at depth d or d + 1.  A
-    sum cut a + b gives c * g(a)g(b) / (g(a) + g(b)) with c = 1 + 2/pi, so
-    1/g adds c^-depth over the leaves and the plan's ratio is
+    P(1) is a leaf.  An even k is two halves, labelled 2*(k/2) (1+1 at
+    k = 2).  An odd k, with 2^d <= k < 2^(d+1), is a + (k - a) with
+    a = max(2^(d-1), k - 2^d), labelled a+(k-a).  Every leaf sits at depth
+    d or d + 1.  A sum cut a + b gives c * g(a)g(b) / (g(a) + g(b)) with
+    c = 1 + 2/pi, so 1/g adds c^-depth over the leaves and the plan's
+    ratio is
 
         g(k) = 1 / ((2^(d+1) - k) * c^-d + 2(k - 2^d) * c^-(d+1)).
 
@@ -245,8 +237,7 @@ def split_plan(k: int) -> SplitPlan:
         raise ValueError("k must be at least 1")
     if k > MAX_SPLIT_K:
         raise CapacityError(f"split plans are limited to k = {MAX_SPLIT_K}, got {k}")
-    node, label = _plan(k)
-    return SplitPlan(node, label)
+    return _plan(k)
 
 
 @dataclass(frozen=True)
@@ -266,8 +257,8 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     split_plan(k_max)  # fails over the cap before any row is built
     rows = []
     for k in range(1, k_max + 1):
-        node, label = _plan(k)
-        rows.append(BoundsRow(k, circle_limit_ratio(k), node.ratio, label))
+        plan = _plan(k)
+        rows.append(BoundsRow(k, circle_limit_ratio(k), plan.ratio, plan.decomposition))
     return rows
 
 
@@ -371,7 +362,7 @@ def guaranteed_partition(
     kept: list[tuple[list[int], Sequence[float], Sequence[float]]] = []
     diagonals: list[Diagonal] = []
     # depth first, left before right: the order recursion would visit
-    stack = [(plan.root, tour._xs, tour._ys, tour._cum, ids, list(range(len(pts))))]
+    stack = [(plan, tour._xs, tour._ys, tour._cum, ids, list(range(len(pts))))]
     while stack:
         node, xs, ys, cum, ids, members = stack.pop()
         if not members:

@@ -268,8 +268,8 @@ def naive_chord_at_arclength(tour: ClosedTour, x: float, u) -> float:
         return (q.x - p.x) * ux + (q.y - p.y) * uy
 
     breaks = sorted(
-        {s % ell for s in tour.vertex_arclengths}
-        | {(s - x) % ell for s in tour.vertex_arclengths}
+        {s % ell for s in tour._cum[:-1]}
+        | {(s - x) % ell for s in tour._cum[:-1]}
     )
     s = _unit_scale(ell)
     values = [f(b) * s for b in breaks]
@@ -311,7 +311,7 @@ def naive_vertex_sides(tour: ClosedTour, diagonal, points):
     first, second = [], []
     for pt in points:
         if pt in verts:
-            s = tour.vertex_arclengths[verts.index(pt)]
+            s = tour._cum[:-1][verts.index(pt)]
         else:
             s = tour.arclength_of(pt, tol)
         rel = (s - diagonal.t_p) % ell
@@ -338,7 +338,7 @@ def naive_subcurve(tour: ClosedTour, t1: float, t2: float) -> tuple:
     if span == 0.0:
         return (first,)
     interior = []
-    for idx, s in enumerate(tour.vertex_arclengths):
+    for idx, s in enumerate(tour._cum[:-1]):
         rel = (s - start) % tour.length
         if 0.0 < rel < span:
             interior.append((rel, idx))
@@ -375,7 +375,7 @@ def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_ve
         descend(node.left, tour1, pts1)
         descend(node.right, tour2, pts2)
 
-    descend(plan.root, tour, instance.points)
+    descend(plan, tour, instance.points)
     tours = tuple(t for _, t in leaves)
     return SolveResult(
         partition=Partition(tuple(pts for pts, _ in leaves)),

@@ -83,7 +83,7 @@ def test_criterion_3_circle_convergence():
     values = {}
     for n in (8, 12):
         closed_form = circle_ratio(n, 2)
-        oracle = speedup_ratio(circle_points(n).instance(), 2)
+        oracle = speedup_ratio(circle_points(n), 2)
         assert abs(closed_form - oracle) <= 1e-9
         values[n] = closed_form
     assert values[8] == pytest.approx(0.6767766952966366, abs=5e-6)

@@ -45,7 +45,7 @@ class TestArcTourLength:
     def test_full_polygon(self):
         assert arc_tour_length(8, 8) == pytest.approx(16 * math.sin(math.pi / 8), abs=1e-12)
         assert arc_tour_length(8, 8) == pytest.approx(
-            optimal_tour(circle_points(8).instance()).length, abs=1e-9
+            optimal_tour(circle_points(8)).length, abs=1e-9
         )
 
     def test_half_octagon_matches_exact_solver(self):
@@ -144,7 +144,7 @@ class TestGapFillStep:
 class TestCircleRatio:
     def test_octagon_matches_oracle(self):
         closed_form = circle_ratio(8, 2)
-        oracle = speedup_ratio(circle_points(8).instance(), 2)
+        oracle = speedup_ratio(circle_points(8), 2)
         assert closed_form == pytest.approx(oracle, abs=1e-9)
         assert closed_form == pytest.approx(0.6767766952966369, abs=1e-12)
 
@@ -156,7 +156,7 @@ class TestCircleRatio:
 
     def test_indivisible_uses_the_oracle(self):
         assert circle_ratio(7, 2) == pytest.approx(
-            speedup_ratio(circle_points(7).instance(), 2), abs=1e-12
+            speedup_ratio(circle_points(7), 2), abs=1e-12
         )
 
     def test_increasing_in_n_and_below_the_limit(self):
@@ -173,13 +173,18 @@ class TestCircleRatio:
         cases = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2), (5, 2)]
         for k, m in cases:
             n = k * m
-            inst = circle_points(n).instance()
+            inst = circle_points(n)
             oracle = speedup_ratio(inst, k)
             assert circle_ratio(n, k) == pytest.approx(oracle, abs=1e-9), (k, m)
 
 
 class TestVerificationFailureSignal:
-    def test_tampered_tolerance_trips(self):
-        # force a failure by demanding an impossible negative tolerance
-        with pytest.raises(VerificationError):
-            verify_arc_optimality(8, 4, tol=-1.0)
+    def test_cheaper_non_arc_subset_trips(self, monkeypatch):
+        # a table in which the alternate half {1, 3, 5, 7} beats every arc
+        values = list(circle._subset_values(8))
+        values[0b01010101] = values[0b1111] - 1.0
+        monkeypatch.setattr(circle, "_exhaustive_values", lambda n: values)
+        with pytest.raises(
+            VerificationError, match=r"subset \(1, 3, 5, 7\) of the 8-circle beats the 4-arc"
+        ):
+            verify_arc_optimality(8, 4)

@@ -238,7 +238,7 @@ class TestSplitCap:
         assert len(doc["blocks"]) == 5
         assert all(block["length"] <= doc["bound"] * (1 + 1e-9) for block in doc["blocks"])
         # only the cuts on the paths to the five kept pieces are made
-        assert len(doc["diagonals"]) <= 5 * plan_depth(split_plan(MAX_SPLIT_K).root)
+        assert len(doc["diagonals"]) <= 5 * plan_depth(split_plan(MAX_SPLIT_K))
 
     def test_bounds_at_the_cap_prints_every_row(self):
         proc = self.run_cli("bounds", str(MAX_SPLIT_K))

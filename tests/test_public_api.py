@@ -1,6 +1,8 @@
-"""The public surface: every exported name has a caller outside the tests."""
+"""The public surface: every exported name, and every public method or
+property of an exported class, has a caller outside the tests."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -44,19 +46,51 @@ class Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_public_name_has_a_caller():
+def perfbench_sources() -> list[str]:
+    return [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def outside_uses() -> set[str]:
+    """Names read in the package's modules, the benchmark and the README's
+    Library example."""
     sources = [
         path.read_text()
         for path in sorted((ROOT / "src" / "toursplit").glob("*.py"))
         if path.name != "__init__.py"
     ]
-    sources += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += perfbench_sources()
     sources.append(library_example())
     uses = Uses()
     for text in sources:
         uses.visit(ast.parse(text))
-    unused = sorted(set(toursplit.__all__) - uses.names)
+    return uses.names
+
+
+def test_every_public_name_has_a_caller():
+    unused = sorted(set(toursplit.__all__) - outside_uses())
     assert not unused, f"public names without a caller outside the tests: {unused}"
+
+
+def test_every_public_member_has_a_caller():
+    # perfbench's tracer wraps methods it names in string constants
+    named = {
+        node.value
+        for text in perfbench_sources()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    read = outside_uses() | named
+    unused = []
+    for name in toursplit.__all__:
+        cls = getattr(toursplit, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            if member.startswith("_") or member in read:
+                continue
+            if inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)):
+                unused.append(f"{name}.{member}")
+    assert not unused, f"public members without a caller outside the tests: {unused}"
 
 
 def test_library_example_runs_as_documented():
@@ -77,5 +111,4 @@ def test_library_example_runs_as_documented():
     assert names["width"] == 1.0
     assert names["t"] == 1.5
     # the cut at t runs along x = 0.5
-    tour, t = names["tour"], names["t"]
-    assert tour.point_at(t).x == tour.point_at(t + 2.0).x == 0.5
+    assert [(p.x, p.y) for p in names["ends"]] == [(0.5, 1.0), (0.5, 0.0)]

@@ -220,7 +220,7 @@ class TestChordSearch:
             ell = tour.length
             # an offset just above a vertex's arclength puts a break within
             # an ulp of ell, where the walk may not stop early
-            arcs = tour.vertex_arclengths
+            arcs = tour._cum[:-1]
             near = [s + math.ulp(s) for s in (arcs[len(arcs) // 2], arcs[-1])]
             offsets = (math.ulp(ell), 1e-9 * ell, 0.3 * ell, 0.5 * ell,
                        (1 - 1e-9) * ell, ell - math.ulp(ell),
@@ -376,7 +376,7 @@ class TestAssignPoints:
             for k in PARITY_KS:
                 d, _, _, flags = splitting._split(
                     tour._xs, tour._ys, tour._cum, ids,
-                    split_plan(k).root.fraction, range(len(pts)), pts, key_of,
+                    split_plan(k).fraction, range(len(pts)), pts, key_of,
                 )
                 sides = (
                     tuple(p for p, side in zip(pts, flags) if side),
@@ -396,7 +396,7 @@ class TestAssignPoints:
         (d,) = result.diagonals
         span = (d.t_q - d.t_p) % tour.length
         first_visit, second_visit = (
-            (s - d.t_p) % tour.length < span for s in tour.vertex_arclengths[::3]
+            (s - d.t_p) % tour.length < span for s in tour._cum[:-1:3]
         )
         assert first_visit != second_visit
         blocks = result.partition.blocks
@@ -484,8 +484,8 @@ class TestSplitPlan:
     def test_leaf_counts_match(self):
         for k in range(1, 13):
             plan = split_plan(k)
-            assert leaf_count(plan.root) == k
-            assert plan.k == k
+            assert leaf_count(plan) == k
+            assert plan.size == k
 
     def test_ratios_non_increasing(self):
         ratios = [split_plan(k).ratio for k in range(1, 13)]
@@ -512,15 +512,16 @@ class TestSplitPlan:
             walk(node.right)
 
         for k in range(1, 13):
-            walk(split_plan(k).root)
+            walk(split_plan(k))
 
     def test_plans_match_the_search_that_builds_every_candidate(self):
         # the closed rule must build the plans the search picks, bit for bit:
-        # == on the frozen nodes compares every size, ratio and fraction
-        # exactly, and is ten times faster than comparing their reprs
+        # == on the frozen nodes compares every size, ratio, fraction and
+        # label exactly, and is ten times faster than comparing their reprs;
+        # the search's own label checks the one _combine derives
         for k in range(1, 1001):
             naive_plan(k)  # bottom-up, so the reference recursion stays shallow
-            assert split_plan(k).root == naive_plan(k)[0], k
+            assert split_plan(k) == naive_plan(k)[0], k
             assert split_plan(k).decomposition == naive_plan(k)[1], k
 
     def test_ratio_matches_the_closed_form(self):
@@ -535,7 +536,7 @@ class TestSplitPlan:
         for k in ks:
             assert split_plan(k).ratio == pytest.approx(g(k), rel=1e-15, abs=0.0), k
         # the rule itself has no cap: 60 levels deep, still to the last bits
-        assert _plan(2**60)[0].ratio == pytest.approx(g(2**60), rel=1e-15, abs=0.0)
+        assert _plan(2**60).ratio == pytest.approx(g(2**60), rel=1e-15, abs=0.0)
 
     def test_cold_cache_needs_no_deep_recursion(self):
         _plan.cache_clear()
@@ -545,7 +546,7 @@ class TestSplitPlan:
             plan = split_plan(MAX_SPLIT_K)
         finally:
             sys.setrecursionlimit(limit)
-        assert plan.k == MAX_SPLIT_K
+        assert plan.size == MAX_SPLIT_K
 
 
 class TestBoundsTable:
