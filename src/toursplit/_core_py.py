@@ -31,6 +31,19 @@ more than the slack, and above it the sums may overflow.  Outside that
 range the bounds are zero and the limit is the largest float, so the
 same loop skips only the unreached (INF) cells, as the unpruned loop does.
 
+The pure tour table holds a row only while it is needed.  Masks hold point
+0, so mask m is kept at index m >> 1.  Its row, a list of n path lengths
+by last point, is made when the mask first receives a finite value and is
+dropped once the mask has been expanded, so a run holds only the rows of
+masks reached and not yet expanded.  Each cell's parent, last + 1 (0 for
+none), sits in one zero-filled bytearray of 2^(n-1)·n bytes.  A cell
+(mask | 1 << j, j) hears only from its one source, mask, and the compiled
+lane gives it mask's candidates last rising under a strict comparison
+from INF.  So the pure lane takes them all at once when mask is expanded,
+in the same order: the first strict minimum is the value and parent the
+compiled lane leaves, and a cell with no finite candidate stays INF with
+no parent in both.
+
 The pure subset table skips the candidates that are always INF: a path
 that ends at its mask's anchor exists only in the anchor's singleton, so
 the compiled lane's ``prev == anchor`` candidate from a larger mask reads
@@ -176,72 +189,77 @@ def shortest_cycle(dist: list[float], n: int) -> tuple[float, list[int]]:
         raise ValueError("subset table would exceed the kernel's memory budget")
     if n == 1:
         return 0.0, [0]
-    full = 1 << n
-    masks = full >> 1  # those holding point 0
+    masks = 1 << n >> 1  # those holding point 0, indexed by mask >> 1
     rows = [dist[i * n : (i + 1) * n] for i in range(n)]
     limit, weight, tail = _tour_bounds(rows, n)
-    # Only masks that hold point 0 are reachable, so mask's row starts at
-    # (mask >> 1) * n; adding point j moves (1 << j >> 1) * n + j cells on.
-    step = [(1 << j >> 1) * n + j for j in range(n)]
     # For each half of the points 1..n-1, by sub-mask: its members, its free
-    # points with their cell steps, and its members' weight.  A mask's bound
-    # is then limit less the weight of the points outside it.
+    # points with their bits in mask >> 1 and their cells' parent offsets,
+    # and its members' weight.  A mask's bound is then limit less the weight
+    # of the points outside it.
     low = (n - 1) // 2
     parts = []
     for points in (range(1, low + 1), range(low + 1, n)):
         members, free, held = [[]], [[]], [0.0]
         for j in points:
+            bit = 1 << j >> 1
             members += [m + [j] for m in members]
-            free = [f + [(step[j], j)] for f in free] + free
+            free = [f + [(j, bit, bit * n + j)] for f in free] + free
             held += [w + weight[j] for w in held]
         parts.append(list(zip(members, free, held)))
     lows, highs = parts
     lows[0] = ([0], lows[0][1], 0.0)  # last = 0 holds a value only in mask {0}
     low_bits = (1 << low) - 1
     offset = limit - sum(weight[1:])
-    size = masks * n
-    dp = [INF] * size
-    parent = [-1] * size
-    dp[0] = 0.0  # mask {0}, last vertex 0
-    live = bytearray(masks)  # masks that an expanded cell has reached
+    marked = [row + [last + 1] for last, row in enumerate(rows)]  # + parent mark
+    dp = [None] * masks  # rows of the masks reached and not yet expanded
+    dp[0] = [0.0] + [INF] * (n - 1)  # mask {0}, last vertex 0
+    parent = bytearray(masks * n)
+    live = bytearray(masks)  # masks that have been given a row
     live[0] = 1
-    # each cell (mask | 1 << j, j) hears only from mask, last rising: the
-    # candidate order of the compiled lane's full-table loop
     for h in compress(range(masks - 1), live):
         members_lo, free_lo, held_lo = lows[h & low_bits]
         members_hi, free_hi, held_hi = highs[h >> low]
         bound = offset + held_lo + held_hi
-        base = h * n
-        outs = None
+        values = dp[h]
+        dp[h] = None
+        passing = []
         for last in members_lo + members_hi:
-            cur = dp[base + last]
-            if cur + tail[last] > bound:
-                continue
-            if outs is None:
-                outs = [(base + off, j) for off, j in free_lo + free_hi]
-                for _, j in outs:
-                    live[h | 1 << j >> 1] = 1
-            row = rows[last]
-            for idx, j in outs:
+            cur = values[last]
+            if cur + tail[last] <= bound:
+                passing.append((cur, marked[last]))
+        if not passing:
+            continue
+        base = h * n
+        # cell (mask | 1 << j, j) hears only from this mask: its candidates,
+        # last rising, under the compiled lane's strict comparison
+        for j, bit, off in free_lo + free_hi:
+            best = INF
+            for cur, row in passing:
                 cand = cur + row[j]
-                if cand < dp[idx]:
-                    dp[idx] = cand
-                    parent[idx] = last
-    fm = full - 1
-    fbase = (fm >> 1) * n
+                if cand < best:
+                    best = cand
+                    won = row
+            if best < INF:
+                out = dp[h | bit]
+                if out is None:
+                    out = dp[h | bit] = [INF] * n
+                    live[h | bit] = 1
+                out[j] = best
+                parent[base + off] = won[n]
+    values = dp[-1] or [INF] * n  # None when no finite tour exists
     best = INF
     best_last = -1
     for j in range(1, n):
-        cand = dp[fbase + j] + rows[j][0]
+        cand = values[j] + rows[j][0]
         if cand < best:
             best = cand
             best_last = j
     order = []
-    mask, cur = fm, best_last
+    h, cur = masks - 1, best_last
     while cur != -1:
         order.append(cur)
-        nxt = parent[(mask >> 1) * n + cur]
-        mask ^= 1 << cur
+        nxt = parent[h * n + cur] - 1
+        h ^= 1 << cur >> 1
         cur = nxt
     order.reverse()
     return best, order

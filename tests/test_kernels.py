@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,18 @@ class TestPureLane:
         dist = flat_distances(cases[-1])
         assert _core_py.shortest_cycle(dist, 6) == (math.inf, [])
 
+    def test_shortest_cycle_holds_only_the_rows_it_reaches(self):
+        # a full 2^(n-1) * n table at n = 16 takes 4 MB of list slots alone
+        rng = random.Random(111)
+        dist = flat_distances(random_points(rng, 16))
+        tracemalloc.start()
+        try:
+            _core_py.shortest_cycle(dist, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
     def test_subset_table_matches_the_full_candidate_loop(self):
         # dropping the always-INF candidates must keep every value to the bit
         rng = random.Random(108)
@@ -242,6 +255,9 @@ class TestLaneParity:
             collinear(18),  # ties everywhere: the least pruned input
             random_points(rng, 18),
             random_points(rng, 18),
+            # weak bounds: most masks are reached and many rows live at once
+            random_points(rng, 8) + [Point(p.x + 1e3, p.y) for p in random_points(rng, 8)],
+            rng.sample(collinear(16), 16),
         ]
         for pts in cases:
             dist = flat_distances(pts)
