@@ -12,8 +12,8 @@ are 0-based internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import (
     CapacityError,
@@ -90,8 +90,7 @@ def _indices_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if (mask >> (i - 1)) & 1)
 
 
-@dataclass(frozen=True)
-class ArcOptimalityReport:
+class ArcOptimalityReport(NamedTuple):
     """Outcome of checking one arc against every same-size subset."""
 
     n: int

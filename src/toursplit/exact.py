@@ -9,11 +9,18 @@ ties by the lexicographically smallest labelling so results are stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import kernels
-from .geometry import ClosedTour, Diagonal, Point, PointInput, _as_points
+from .geometry import (
+    ClosedTour,
+    Diagonal,
+    Point,
+    PointInput,
+    _as_points,
+    _checked_make,
+    _Frozen,
+)
 
 MAX_EXACT_POINTS = 18
 MAX_PARTITION_POINTS = 13
@@ -23,19 +30,32 @@ class CapacityError(Exception):
     """An instance exceeds an exact-solver budget."""
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A set of distinct planar points."""
+class Instance(_Frozen):
+    """A set of distinct planar points; instances compare and hash by them."""
 
-    points: tuple[Point, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = _as_points(self.points)
+    def __init__(self, points: Iterable[PointInput]) -> None:
+        pts = _as_points(points)
         if not pts:
             raise ValueError("an instance needs at least one point")
-        if len(set((p.x, p.y) for p in pts)) != len(pts):
+        if len(set(pts)) != len(pts):
             raise ValueError("instance points must be distinct (use from_points)")
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.points == other.points
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"Instance(points={self.points!r})"
+
+    def __reduce__(self):
+        return Instance, (self.points,)
 
     @classmethod
     def from_points(cls, points: Iterable[PointInput]) -> "Instance":
@@ -60,28 +80,32 @@ class Instance:
         return dist
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Pairwise-disjoint nonempty point blocks."""
-
+class _PartitionFields(NamedTuple):
     blocks: tuple[tuple[Point, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+
+class Partition(_PartitionFields):
+    """Pairwise-disjoint nonempty point blocks."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple[tuple[Point, ...], ...]) -> "Partition":
+        if not blocks:
             raise ValueError("a partition needs at least one block")
-        seen: set[tuple[float, float]] = set()
-        for block in self.blocks:
+        seen: set[Point] = set()
+        for block in blocks:
             if not block:
                 raise ValueError("partition blocks must be nonempty")
             for p in block:
-                key = (p.x, p.y)
-                if key in seen:
+                if p in seen:
                     raise ValueError("partition blocks must be disjoint")
-                seen.add(key)
+                seen.add(p)
+        return tuple.__new__(cls, (blocks,))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Tours for each block of a partition and the max tour length."""
 
     partition: Partition

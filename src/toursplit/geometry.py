@@ -9,20 +9,45 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Point:
+def _checked_make(cls, fields):
+    """``_make`` for a record whose ``__new__`` checks its fields, so that
+    ``_make`` and ``_replace`` check them too."""
+    return cls(*fields)
+
+
+class _Frozen:
+    """Base of the ``__slots__`` records: their fields are read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _PointFields(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+
+class Point(_PointFields):
+    """A planar point with finite coordinates, the tuple ``(x, y)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> "Point":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
+
+    _make = classmethod(_checked_make)
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -46,16 +71,21 @@ def _unit_scale(size: float) -> float:
     return math.ldexp(1.0, min(-math.frexp(size)[1], 1023))
 
 
-@dataclass(frozen=True)
-class Direction:
-    """An undirected planar direction, stored as an angle in [0, pi)."""
-
+class _DirectionFields(NamedTuple):
     theta: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
+
+class Direction(_DirectionFields):
+    """An undirected planar direction, stored as an angle in [0, pi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta: float) -> "Direction":
+        if not math.isfinite(theta):
             raise ValueError("direction angle must be finite")
-        object.__setattr__(self, "theta", self.theta % math.pi)
+        return tuple.__new__(cls, (theta % math.pi,))
+
+    _make = classmethod(_checked_make)
 
     @property
     def unit(self) -> tuple[float, float]:
@@ -142,24 +172,21 @@ def _locate(
     raise ValueError(f"point ({px}, {py}) does not lie on the tour")
 
 
-@dataclass(frozen=True)
-class ClosedTour:
+class ClosedTour(_Frozen):
     """A closed polygonal curve traversed cyclically through its vertices.
 
     The parametrization starts at ``vertices[0]`` and follows the stored
     vertex order; ``point_at(t)`` walks ``t`` length units along the curve.
-    A tour whose length overflows the float range is rejected.
+    A tour whose length overflows the float range is rejected.  Tours
+    compare and hash by their vertices alone.
     """
 
-    vertices: tuple[Point, ...]
-    length: float = field(init=False, compare=False)
-    _cum: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    # vertex coordinates with the first vertex repeated at the end
-    _xs: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    _ys: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    # _cum holds the arclength at each vertex, then the length; _xs and _ys
+    # the vertex coordinates with the first vertex repeated at the end
+    __slots__ = ("vertices", "length", "_cum", "_xs", "_ys")
 
-    def __post_init__(self) -> None:
-        verts = _as_points(self.vertices)
+    def __init__(self, vertices: Iterable[PointInput]) -> None:
+        verts = _as_points(vertices)
         if not verts:
             raise ValueError("a closed tour needs at least one vertex")
         xs = tuple(p.x for p in verts + verts[:1])
@@ -170,6 +197,20 @@ class ClosedTour:
         object.__setattr__(self, "_cum", tuple(cum))
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"ClosedTour(vertices={self.vertices!r}, length={self.length!r})"
+
+    def __reduce__(self):
+        return ClosedTour, (self.vertices,)
 
     def point_at(self, t: float) -> Point:
         """The point at arclength ``t`` (taken modulo the tour length)."""
@@ -199,8 +240,7 @@ class ClosedTour:
         return _locate(self._xs, self._ys, self._cum, pt.x, pt.y, tol)
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(NamedTuple):
     """A straight segment between two points of a closed tour."""
 
     p: Point

@@ -268,11 +268,12 @@ class TestLaneParity:
         assert _core_py.shortest_cycle(dist, 10) == (math.inf, [])
 
 
-def backend_of(env_value, preload=None):
+def backend_of(env_value, preload=None, then=""):
     """Run a fresh interpreter with TOURSPLIT_BACKEND set; return its result.
 
     ``preload`` is a compiled module file registered as ``toursplit._core``
-    before the package imports, standing in for an in-place build.
+    before the package imports, standing in for an in-place build.  The
+    interpreter prints the selected lane, then runs the code in ``then``.
     """
     code = (
         "import importlib.util, sys\n"
@@ -284,6 +285,7 @@ def backend_of(env_value, preload=None):
         "    sys.modules['toursplit._core'] = mod\n"
         "import toursplit\n"
         "print(toursplit.SOLVER_BACKEND)\n"
+        + then
     )
     env = dict(os.environ, TOURSPLIT_BACKEND=env_value)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -307,6 +309,18 @@ class TestLaneSelection:
         proc = backend_of("bogus")
         assert proc.returncode != 0
         assert "ValueError: unknown TOURSPLIT_BACKEND value: 'bogus'" in proc.stderr
+
+    @pytest.mark.parametrize("lane", ["compiled", "pure"])
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self, lane, request):
+        # importing them took about a fifth of a small CLI job's wall time
+        preload = request.getfixturevalue("compiled_core").__file__ if lane == "compiled" else None
+        then = (
+            "import toursplit.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        proc = backend_of(lane, preload=preload, then=then)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [lane, "[]"]
 
 
 MARKER = "             # <<<<<<<<<<<<<<"
