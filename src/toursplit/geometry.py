@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -125,51 +125,27 @@ def _point_at(
 
 def _subpath(
     xs: Sequence[float], ys: Sequence[float], cum: Sequence[float], t1: float, t2: float
-) -> tuple[tuple[float, float], list[int], Optional[tuple[float, float]]]:
+) -> tuple[tuple[float, float], list[int], list[int], Optional[tuple[float, float]]]:
     """The open path from arclength ``t1`` forward to ``t2`` on a closed curve
-    of positive length: its start, the indices of the vertices strictly
-    inside it in path order, and its end (None when the span is zero)."""
+    of positive length: its start, the indices of the vertices that are the
+    start (at its arclength and coordinates), the indices of the other
+    vertices in [t1, t2) in path order, and its end (None when the span is
+    zero).  A vertex at the start's arclength but not at its coordinates,
+    past an edge shorter than an ulp of the arclength, comes first."""
     ell = cum[-1]
     start = t1 % ell
     span = (t2 - t1) % ell
     first = _point_at(xs, ys, cum, start)
     if span == 0.0:
-        return first, [], None
+        return first, [], [], None
     rel = [(s - start) % ell for s in cum[:-1]]
-    inside = [i for i, r in enumerate(rel) if 0.0 < r < span]
+    starts, inside = [], []
+    for i, r in enumerate(rel):
+        if r < span:
+            (starts if r == 0.0 and (xs[i], ys[i]) == first else inside).append(i)
     # a stable sort by rel keeps ties in index order
     inside.sort(key=rel.__getitem__)
-    return first, inside, _point_at(xs, ys, cum, start + span)
-
-
-def _locate(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    cum: Sequence[float],
-    px: float,
-    py: float,
-    tol: float,
-) -> float:
-    """Smallest arclength at which (px, py) lies on the curve within ``tol``,
-    by a scan over every edge."""
-    # one factor of each quadratic term is scaled to the tour's size, so
-    # the dot product and seg^2 neither overflow nor underflow
-    s = _unit_scale(cum[-1])
-    for i in range(len(cum) - 1):
-        ax, ay = xs[i], ys[i]
-        seg = cum[i + 1] - cum[i]
-        if seg == 0.0:
-            if math.hypot(px - ax, py - ay) <= tol:
-                return cum[i]
-            continue
-        dx, dy = (px - ax) * s, (py - ay) * s
-        bx, by = xs[i + 1] - ax, ys[i + 1] - ay
-        f = (dx * bx + dy * by) / (seg * s * seg)
-        f = 0.0 if f < 0.0 else (1.0 if f > 1.0 else f)
-        cx, cy = ax + f * bx, ay + f * by
-        if math.hypot(px - cx, py - cy) <= tol:
-            return cum[i] + f * seg
-    raise ValueError(f"point ({px}, {py}) does not lie on the tour")
+    return first, starts, inside, _point_at(xs, ys, cum, start + span)
 
 
 class ClosedTour(_Frozen):
@@ -226,18 +202,37 @@ class ClosedTour(_Frozen):
         """
         if self.length == 0.0:
             raise ValueError("subcurve is undefined on a zero-length tour")
-        first, inside, last = _subpath(self._xs, self._ys, self._cum, t1, t2)
+        first, _, inside, last = _subpath(self._xs, self._ys, self._cum, t1, t2)
         if last is None:
             return (Point(*first),)
         return (Point(*first),) + tuple(self.vertices[i] for i in inside) + (Point(*last),)
 
     def arclength_of(self, pt: Point, tol: float) -> float:
-        """Smallest arclength at which ``pt`` lies on the curve, within ``tol``.
+        """Smallest arclength at which ``pt`` lies on the curve, within ``tol``,
+        by a scan over every edge.
 
         Raises ValueError when the point is farther than ``tol`` from every
         edge.
         """
-        return _locate(self._xs, self._ys, self._cum, pt.x, pt.y, tol)
+        xs, ys, cum, (px, py) = self._xs, self._ys, self._cum, pt
+        # one factor of each quadratic term is scaled to the tour's size, so
+        # the dot product and seg^2 neither overflow nor underflow
+        s = _unit_scale(cum[-1])
+        for i in range(len(cum) - 1):
+            ax, ay = xs[i], ys[i]
+            seg = cum[i + 1] - cum[i]
+            if seg == 0.0:
+                if math.hypot(px - ax, py - ay) <= tol:
+                    return cum[i]
+                continue
+            dx, dy = (px - ax) * s, (py - ay) * s
+            bx, by = xs[i + 1] - ax, ys[i + 1] - ay
+            f = (dx * bx + dy * by) / (seg * s * seg)
+            f = 0.0 if f < 0.0 else (1.0 if f > 1.0 else f)
+            cx, cy = ax + f * bx, ay + f * by
+            if math.hypot(px - cx, py - cy) <= tol:
+                return cum[i] + f * seg
+        raise ValueError(f"point ({px}, {py}) does not lie on the tour")
 
 
 class Diagonal(NamedTuple):
@@ -265,6 +260,11 @@ def _hull(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     dy = max(ys) - min(ys)
     s = _unit_scale(max(dx, dy))
     eps = 1e-12 * math.hypot(dx * s, dy * s)
+    # The chain runs along the bounding box's longer side, so its two ends,
+    # which it always keeps, are the extremes of a sliver that the tolerance
+    # flattens.  A stable sort by y keeps ties in x order: (y, x) order.
+    if dy > dx:
+        pts.sort(key=itemgetter(1))
     # (scaled x, scaled y, x, y): the chain turns on the first pair
     chain = [(x * s, y * s, x, y) for x, y in pts]
 
@@ -284,20 +284,22 @@ def _hull(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
 
     lower = monotone(chain)
     upper = monotone(reversed(chain))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # all points collinear after tolerance pruning
-        hull = [chain[0], chain[-1]]
-    return [(p[2], p[3]) for p in hull]
+    # both halves keep the chain's ends, so the hull has at least two vertices
+    hull = [(p[2], p[3]) for p in lower[:-1] + upper[:-1]]
+    if dx >= dy:
+        return hull
+    i = hull.index(min(hull))  # the lexicographically smallest vertex goes first
+    return hull[i:] + hull[:i]
 
 
 def convex_hull(points: Iterable[PointInput]) -> tuple[Point, ...]:
-    """Convex hull vertices in counterclockwise order, strictly convex.
+    """Convex hull vertices in counterclockwise order, strictly convex,
+    starting from the lexicographically smallest vertex.
 
-    Duplicate points are dropped.  Collinear input reduces to the two
-    extreme points; a single point is returned as is.  The turn tests run
-    on the coordinates scaled to the bounding box's size, so their cross
-    products neither overflow nor underflow.
+    Duplicate points are dropped.  Collinear input, in any orientation,
+    reduces to its two extreme points; a single point is returned as is.
+    The turn tests run on the coordinates scaled to the bounding box's
+    size, so their cross products neither overflow nor underflow.
     """
     return tuple(Point(x, y) for x, y in _hull((p.x, p.y) for p in _as_points(points)))
 

@@ -21,7 +21,6 @@ from .geometry import (
     Diagonal,
     Point,
     _cumulative,
-    _locate,
     _min_width,
     _point_at,
     _subpath,
@@ -267,18 +266,20 @@ def _subtour(
     ids: Sequence[int],
     t1: float,
     t2: float,
-    key_of: dict[tuple[float, float], int],
 ) -> tuple[list[float], list[float], list[float], list[int]]:
     """The sub-tour from arclength t1 forward to t2, closed by its chord,
-    as flat lists; each end takes the key of the point it coincides with."""
-    first, inside, last = _subpath(xs, ys, cum, t1, t2)
+    as flat lists: every vertex in [t1, t2) keeps its id, and the far end
+    takes -1."""
+    first, starts, inside, last = _subpath(xs, ys, cum, t1, t2)
     sub_xs = [first[0]] + [xs[i] for i in inside]
     sub_ys = [first[1]] + [ys[i] for i in inside]
-    sub_ids = [key_of.get(first, -1)] + [ids[i] for i in inside]
+    # the start takes the id of the vertices that are the start; vertices at
+    # one coordinate pair hold its point's id or -1, so max picks the id
+    sub_ids = [max([ids[i] for i in starts], default=-1)] + [ids[i] for i in inside]
     if last is not None:
         sub_xs.append(last[0])
         sub_ys.append(last[1])
-        sub_ids.append(key_of.get(last, -1))
+        sub_ids.append(-1)
     sub_xs.append(sub_xs[0])
     sub_ys.append(sub_ys[0])
     return sub_xs, sub_ys, _cumulative(sub_xs, sub_ys), sub_ids
@@ -291,16 +292,13 @@ def _split(
     ids: Sequence[int],
     fraction: float,
     members: Iterable[int],
-    pts: Sequence[Point],
-    key_of: dict[tuple[float, float], int],
 ) -> tuple[Diagonal, tuple, tuple, list[bool]]:
     """One cut of a closed flat curve (``xs``/``ys`` repeat the first
-    vertex, ``cum`` ends with the length, ``ids`` holds a point key per
+    vertex, ``cum`` ends with the length, ``ids`` holds a point id per
     vertex or -1): the diagonal cutting off ``fraction`` of the length
     parallel to the hull's minimum width direction, the ``_subtour`` on
-    each side of it, and for each member key whether ``pts[key]`` lies on
-    the first side [t_p, t_q).  A key found in ``ids`` reads its arclength
-    at its first vertex; any other is placed by the edge scan.
+    each side of it, and for each member id whether its first vertex lies
+    on the first side [t_p, t_q).  That vertex is in that side's sub-tour.
     """
     ell = cum[-1]
     x = fraction * ell
@@ -310,17 +308,12 @@ def _split(
     t_p, p, q = _chord_root(xs, ys, cum, x, (math.cos(phi), math.sin(phi)))
     # t_p + x >= 0, so the residual check's point at t_p + x is the one at t_q
     t_q = (t_p + x) % ell
-    left = _subtour(xs, ys, cum, ids, t_p, t_q, key_of)
-    right = _subtour(xs, ys, cum, ids, t_q, t_p, key_of)
+    left = _subtour(xs, ys, cum, ids, t_p, t_q)
+    right = _subtour(xs, ys, cum, ids, t_q, t_p)
     span = (t_q - t_p) % ell
-    tol = 1e-9 * ell
-    # filled backwards, so each key keeps its first position
+    # filled backwards, so each id keeps its first position
     at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    sides = []
-    for key in members:
-        i = at.get(key)
-        s = cum[i] if i is not None else _locate(xs, ys, cum, pts[key].x, pts[key].y, tol)
-        sides.append((s - t_p) % ell < span)
+    sides = [(cum[at[i]] - t_p) % ell < span for i in members]
     return Diagonal(Point(*p), Point(*q), t_p, t_q), left, right, sides
 
 
@@ -342,25 +335,24 @@ def guaranteed_partition(
     neither cut nor kept, so ``diagonals`` holds only the cuts on the paths
     to kept pieces, and a zero-length tour (a single point) stays one
     block.  Each level runs one ``_split`` on the sub-tour's coordinates;
-    Points and ClosedTours are built only for the result.  A cut starting
-    on a near-duplicate vertex drops the earlier vertex from its sub-tour;
-    the next cut places that vertex's point by an O(m) edge scan.
+    Points and ClosedTours are built only for the result.  A point goes
+    to the side of its first vertex, which that side's sub-tour keeps.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
-    pts = instance.points
-    key_of = {p: i for i, p in enumerate(pts)}
-    ids = [key_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
+    points = instance.points
+    id_of = {p: i for i, p in enumerate(points)}
+    ids = [id_of.get(v, -1) for v in zip(tour._xs[:-1], tour._ys[:-1])]
     on_tour = set(ids)
-    for i, p in enumerate(pts):
+    for i, p in enumerate(points):
         if i not in on_tour:
             raise ValueError(f"point ({p.x}, {p.y}) is not a vertex of the tour")
     if tour.length == 0.0:
-        return SolveResult(Partition((pts,)), (tour,), 0.0)
+        return SolveResult(Partition((points,)), (tour,), 0.0)
     kept: list[tuple[list[int], Sequence[float], Sequence[float]]] = []
     diagonals: list[Diagonal] = []
     # depth first, left before right: the order recursion would visit
-    stack = [(plan, tour._xs, tour._ys, tour._cum, ids, list(range(len(pts))))]
+    stack = [(plan, tour._xs, tour._ys, tour._cum, ids, list(range(len(points))))]
     while stack:
         node, xs, ys, cum, ids, members = stack.pop()
         if not members:
@@ -368,13 +360,11 @@ def guaranteed_partition(
         if node.is_leaf:
             kept.append((members, xs, ys))
             continue
-        diagonal, left, right, sides = _split(
-            xs, ys, cum, ids, node.fraction, members, pts, key_of
-        )
+        diagonal, left, right, sides = _split(xs, ys, cum, ids, node.fraction, members)
         diagonals.append(diagonal)
         stack.append((node.right, *right, [i for i, side in zip(members, sides) if not side]))
         stack.append((node.left, *left, [i for i, side in zip(members, sides) if side]))
-    blocks = tuple(tuple(pts[i] for i in members) for members, _, _ in kept)
+    blocks = tuple(tuple(points[i] for i in members) for members, _, _ in kept)
     tours = tuple(_closed(xs, ys) for _, xs, ys in kept)
     return SolveResult(
         partition=Partition(blocks),

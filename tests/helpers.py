@@ -216,8 +216,9 @@ def ellipse_tour(rng: random.Random, m: int) -> ClosedTour:
     return ClosedTour(tuple(pts))
 
 
-def naive_assign_points(tour: ClosedTour, diagonal, points):
-    """Sides of the cut with every point located by the edge scan, O(m) per point."""
+def naive_assign_points(tour: ClosedTour, diagonal, points, labels=None):
+    """Sides of the cut with every point located by the edge scan, O(m) per
+    point.  The scan reads coordinates only, so ``labels`` is not read."""
     ell = tour.length
     tol = 1e-9 * ell
     span = (diagonal.t_q - diagonal.t_p) % ell
@@ -295,26 +296,23 @@ def naive_chord_at_arclength(tour: ClosedTour, x: float, u) -> float:
     return t
 
 
-def naive_vertex_sides(tour: ClosedTour, diagonal, points):
-    """Sides of the cut with each vertex point read at its first visit.
+def naive_vertex_sides(tour: ClosedTour, diagonal, points, labels=None):
+    """Sides of the cut with each point read at its first vertex.
 
-    The first visit is found by a linear search over the vertex list; any
-    other point takes the edge scan.  This is the assignment rule of each
-    cut of ``guaranteed_partition``, which the edge scan alone breaks on
-    ties: a vertex read an ulp before the cut start, or a collinear tour's
-    vertex that lies on an earlier edge.
+    ``labels`` names the point each vertex carries, or None; by default
+    each vertex carries itself.  The first vertex is found by a linear
+    search over the labels, and a point that no vertex carries raises
+    ValueError.  This is the assignment rule of each cut of
+    ``guaranteed_partition``, whose sub-tours keep every point's vertices.
+    The edge scan alone breaks it on ties: a vertex read an ulp before the
+    cut start, or a collinear tour's vertex that lies on an earlier edge.
     """
+    labels = tour.vertices if labels is None else labels
     ell = tour.length
-    tol = 1e-9 * ell
     span = (diagonal.t_q - diagonal.t_p) % ell
-    verts = list(tour.vertices)
     first, second = [], []
     for pt in points:
-        if pt in verts:
-            s = tour._cum[:-1][verts.index(pt)]
-        else:
-            s = tour.arclength_of(pt, tol)
-        rel = (s - diagonal.t_p) % ell
+        rel = (tour._cum[labels.index(pt)] - diagonal.t_p) % ell
         (first if rel < span else second).append(pt)
     return tuple(first), tuple(second)
 
@@ -330,26 +328,36 @@ def cut_diagonal(tour: ClosedTour, fraction: float) -> Diagonal:
     return Diagonal(tour.point_at(t), tour.point_at(t_q), t, t_q)
 
 
-def naive_subcurve(tour: ClosedTour, t1: float, t2: float) -> tuple:
-    """The open path from t1 forward to t2: every vertex's offset, sorted."""
-    start = t1 % tour.length
-    span = (t2 - t1) % tour.length
+def naive_subcurve(tour: ClosedTour, t1: float, t2: float, labels) -> tuple:
+    """The open path from t1 forward to t2, and the label of each of its
+    points: every vertex whose offset lies in [0, span), sorted.  A vertex
+    at offset 0 and at the start's coordinates is the start, which takes
+    its label; the end is labelled None."""
+    ell = tour.length
+    start = t1 % ell
+    span = (t2 - t1) % ell
     first = tour.point_at(start)
     if span == 0.0:
-        return (first,)
+        return (first,), [None]
+    start_label = None
     interior = []
-    for idx, s in enumerate(tour._cum[:-1]):
-        rel = (s - start) % tour.length
-        if 0.0 < rel < span:
+    for idx, (v, s) in enumerate(zip(tour.vertices, tour._cum)):
+        rel = (s - start) % ell
+        if rel == 0.0 and v == first:
+            if labels[idx] is not None:
+                start_label = labels[idx]
+        elif rel < span:
             interior.append((rel, idx))
     interior.sort()
-    return (first,) + tuple(tour.vertices[i] for _, i in interior) + (tour.point_at(start + span),)
+    path = (first,) + tuple(tour.vertices[i] for _, i in interior) + (tour.point_at(start + span),)
+    return path, [start_label] + [labels[i] for _, i in interior] + [None]
 
 
 def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_vertex_sides):
     """guaranteed_partition as a recursion over ClosedTours, one split per
     plan node: the every-edge width, the chord search that bisects for
-    every break, the sorted subcurve and ``assign`` for the sides."""
+    every break, the sorted subcurve and ``assign`` for the sides.  Each
+    tour's vertices are labelled with the points they carry."""
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
     if tour.length == 0.0:
@@ -357,7 +365,7 @@ def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_ve
     leaves = []
     diagonals = []
 
-    def descend(node, node_tour, pts):
+    def descend(node, node_tour, labels, pts):
         if not pts:
             return
         if node.is_leaf:
@@ -369,13 +377,15 @@ def naive_guaranteed_partition(points, tour: ClosedTour, k: int, assign=naive_ve
         t_q = (t + x) % node_tour.length
         diagonal = Diagonal(node_tour.point_at(t), node_tour.point_at(t_q), t, t_q)
         diagonals.append(diagonal)
-        tour1 = ClosedTour(naive_subcurve(node_tour, t, t_q))
-        tour2 = ClosedTour(naive_subcurve(node_tour, t_q, t))
-        pts1, pts2 = assign(node_tour, diagonal, pts)
-        descend(node.left, tour1, pts1)
-        descend(node.right, tour2, pts2)
+        path1, labels1 = naive_subcurve(node_tour, t, t_q, labels)
+        path2, labels2 = naive_subcurve(node_tour, t_q, t, labels)
+        pts1, pts2 = assign(node_tour, diagonal, pts, labels)
+        descend(node.left, ClosedTour(path1), labels1, pts1)
+        descend(node.right, ClosedTour(path2), labels2, pts2)
 
-    descend(plan, tour, instance.points)
+    carried = set(instance.points)
+    labels = [v if v in carried else None for v in tour.vertices]
+    descend(plan, tour, labels, instance.points)
     tours = tuple(t for _, t in leaves)
     return SolveResult(
         partition=Partition(tuple(pts for pts, _ in leaves)),

@@ -192,6 +192,19 @@ class TestSplit:
             for p, q in doc["diagonals"]:
                 assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
 
+    def test_near_vertical_sliver_keeps_the_guarantee(self, tmp_path, capsys):
+        # the hull of this sliver lost the ends of its unit-long side, so the
+        # cut ran along that side: value 2.0 against a bound of 1.64
+        path = write(tmp_path, "sliver.txt", "0 1\n0 0\n1e-17 0\n1e-18 1\n")
+        code, out = run(capsys, ["split", path, "-k", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] <= doc["bound"] * (1 + 1e-9)
+        for p, q in doc["diagonals"]:
+            assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
+        for block in doc["blocks"]:
+            assert all(pt in block["tour"] for pt in block["points"])
+
     def test_exact_over_the_partition_cap_names_the_file(self, tmp_path, capsys):
         path = write(tmp_path, "big.txt", "".join(f"{i} {i * i % 7}\n" for i in range(14)))
         code = main(["split", path, "-k", "2", "--strategy", "exact"])

@@ -120,6 +120,14 @@ class TestSubcurve:
         chain = SQUARE.subcurve(0.7, 0.7 + 2.0)
         assert chain_length(chain) == pytest.approx(2.0)
 
+    def test_keeps_a_vertex_at_the_start_arclength(self):
+        # (1, 0) and (1, 1e-17) lie at one arclength: the start point is the
+        # later one, and the path keeps the earlier one right after it
+        tour = ClosedTour(((0, 0), (1, 0), (1, 1e-17), (2, 0), (2, 1), (0, 1)))
+        assert tour._cum[1] == tour._cum[2] == 1.0
+        chain = tour.subcurve(1.0, 3.0)
+        assert chain == (Point(1, 1e-17), Point(1, 0), Point(2, 0), Point(2, 1))
+
     @given(
         tour_strategy(),
         st.floats(min_value=0, max_value=100, allow_nan=False),
@@ -192,6 +200,48 @@ class TestConvexHull:
     def test_duplicates_dropped(self):
         hull = convex_hull([Point(0, 0), Point(0, 0), Point(1, 0), Point(1, 0)])
         assert hull == (Point(0, 0), Point(1, 0))
+
+    def test_near_vertical_sliver_keeps_its_ends(self):
+        # a chain along x ran across the 1e-17 sliver, and the turn
+        # tolerance dropped both ends of its unit-long side
+        pts = [Point(0, 1), Point(0, 0), Point(1e-17, 0), Point(1e-18, 1)]
+        assert convex_hull(pts) == (Point(0, 0), Point(1e-18, 1))
+        w, d = min_width(pts)
+        assert w == 0.0
+        assert abs(math.sin(d.theta)) < 1e-15  # the normal of the long side
+
+    def test_tall_hull_starts_at_its_smallest_vertex(self):
+        # taller than wide, so the chain runs along y and the hull is rotated
+        pts = [Point(0.5, 3), Point(1, 0), Point(0, 1), Point(1, 2), Point(0, 2.5)]
+        assert convex_hull(pts) == (
+            Point(0, 1), Point(1, 0), Point(1, 2), Point(0.5, 3), Point(0, 2.5)
+        )
+
+    @given(
+        st.one_of(
+            st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+            st.floats(0.0, math.pi).map(lambda a: (math.cos(a), math.sin(a))),
+        ),
+        st.lists(
+            st.tuples(
+                st.floats(-1.0, 1.0),
+                st.one_of(st.just(0.0), st.floats(1e-17, 1e-11), st.floats(-1e-11, -1e-17)),
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=500, derandomize=True)
+    def test_near_collinear_hull_keeps_the_diameter(self, unit, offsets):
+        # points within 1e-11 of a line at any angle: the tolerance may
+        # flatten the hull to a segment, but never shorten it
+        ux, uy = unit
+        pts = [Point(3.0 + t * ux - o * uy, -2.0 + t * uy + o * ux) for t, o in offsets]
+
+        def diameter(ps):
+            return max(a.distance_to(b) for a in ps for b in ps)
+
+        assert diameter(convex_hull(pts)) == pytest.approx(diameter(pts), rel=1e-9, abs=0.0)
 
 
 class TestMinWidth:

@@ -115,17 +115,11 @@ def result_bits(result) -> str:
     ))
 
 
-def count_scans(monkeypatch) -> list:
-    """Record every edge scan the splitting functions make from here on."""
-    calls = []
-    scan = splitting._locate
-
-    def counted(xs, ys, cum, px, py, tol):
-        calls.append((px, py))
-        return scan(xs, ys, cum, px, py, tol)
-
-    monkeypatch.setattr(splitting, "_locate", counted)
-    return calls
+def assert_points_are_vertices(result) -> None:
+    """Every point of every block is a vertex of that block's tour."""
+    for block, piece in zip(result.partition.blocks, result.tours):
+        for pt in block:
+            assert pt in piece.vertices, (pt, piece.vertices)
 
 
 @st.composite
@@ -158,6 +152,7 @@ class TestGuaranteeProperties:
         assert all(t.length <= bound for t in result.tours)
         covered = sorted((p.x, p.y) for block in result.partition.blocks for p in block)
         assert covered == sorted(set((p.x, p.y) for p in tour.vertices))
+        assert_points_are_vertices(result)
         oracle = naive_guaranteed_partition(tour.vertices, tour, k)
         assert result_bits(result) == result_bits(oracle)
 
@@ -371,12 +366,10 @@ class TestAssignPoints:
         # would only slow the O(m^2) references
         for tour in parity_tours() + chord_tours()[6:]:
             pts = Instance.from_points(tour.vertices).points
-            key_of = {(p.x, p.y): i for i, p in enumerate(pts)}
-            ids = [key_of[(v.x, v.y)] for v in tour.vertices]
+            ids = [pts.index(v) for v in tour.vertices]
             for k in PARITY_KS:
                 d, _, _, flags = splitting._split(
-                    tour._xs, tour._ys, tour._cum, ids,
-                    split_plan(k).fraction, range(len(pts)), pts, key_of,
+                    tour._xs, tour._ys, tour._cum, ids, split_plan(k).fraction, range(len(pts))
                 )
                 sides = (
                     tuple(p for p, side in zip(pts, flags) if side),
@@ -404,11 +397,10 @@ class TestAssignPoints:
         for sides in (naive_vertex_sides(tour, d, pts), naive_assign_points(tour, d, pts)):
             assert blocks == tuple(side for side in sides if side)
 
-    def test_vertex_points_skip_the_edge_scan(self, monkeypatch):
+    def test_large_tour_points_stay_vertices(self):
         tour = ellipse_tour(random.Random(10_000), 10_000)
-        calls = count_scans(monkeypatch)
         result = guaranteed_partition(tour.vertices, tour, 8)
-        assert calls == []
+        assert_points_are_vertices(result)
         bound = split_plan(8).ratio * tour.length
         assert all(t.length <= bound + 1e-9 for t in result.tours)
         assert all(d.length <= tour.length * INV_PI + 1e-9 for d in result.diagonals)
@@ -417,11 +409,27 @@ class TestAssignPoints:
         rng = random.Random(41)
         for _ in range(50):
             tour = random_simple_tour(rng, rng.randint(4, 12))
-            result = guaranteed_partition(tour.vertices, tour, rng.randint(2, 8))
-            tol = 1e-6 * tour.length
-            for block, piece in zip(result.partition.blocks, result.tours):
-                for pt in block:
-                    assert piece.arclength_of(pt, tol) >= 0.0
+            assert_points_are_vertices(guaranteed_partition(tour.vertices, tour, rng.randint(2, 8)))
+        # (4, 3) and the vertex after it lie at one arclength; the cut at
+        # k = 2 starts there, and the sub-tour that holds (4, 3) keeps it
+        near = ClosedTour(((1, 4), (4, 4), (3, 3), (2, 3), (1, 2), (2, 0), (4, 3),
+                           (4, 3.0000000000000004)))
+        result = guaranteed_partition(near.vertices, near, 2)
+        assert_points_are_vertices(result)
+        assert result_bits(result) == result_bits(naive_guaranteed_partition(near.vertices, near, 2))
+
+    def test_start_takes_the_id_of_any_vertex_at_it(self):
+        # At k = 16 one sub-tour starts at a chord end (no id) followed by
+        # two vertices at its coordinates, (1, 1), and the next cut starts
+        # there: the start is all three, so it must carry (1, 1)'s id.
+        grid = ClosedTour(((3, 1), (1, 2), (1, 0), (1, 0), (2, 3), (1, 3), (2, 1), (2, 3),
+                           (1, 2), (2, 2), (1, 2), (1, 1), (1, 1), (3, 2), (1, 2), (1, 1),
+                           (1, 0), (3, 1), (1, 1), (2, 3)))
+        for k in (16, 32):
+            result = guaranteed_partition(grid.vertices, grid, k)
+            assert_points_are_vertices(result)
+            oracle = naive_guaranteed_partition(grid.vertices, grid, k)
+            assert result_bits(result) == result_bits(oracle)
 
 
 class TestEqualizingFraction:
@@ -628,19 +636,23 @@ class TestGuaranteedPartition:
             (d,) = guaranteed_partition(tour.vertices, tour, 2).diagonals
             assert repr(d) == repr(cut_diagonal(tour, 0.5))
 
-    def test_near_duplicate_cut_start_takes_the_edge_scan(self, monkeypatch):
+    def test_near_duplicate_cut_start_keeps_both_vertices(self):
         # Each tour has two vertices 1e-17 or an ulp apart, at one arclength.
-        # At k = 4 a cut starts there: its sub-tour starts at the later
-        # vertex, so the earlier vertex's point is placed by the edge scan.
-        calls = count_scans(monkeypatch)
-        for verts, scanned in (
-            ([(0, 0), (1, 0), (1, 1e-17), (2, 0), (2, 1), (1, 1), (0, 1)], (1, 0)),
-            ([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 1.0000000000000002), (0, 1)], (1, 1)),
+        # The root cut starts there, at the later vertex: its sub-tour keeps
+        # the earlier one too, right after the start, and so does the piece.
+        for verts, pair in (
+            ([(0, 0), (1, 0), (1, 1e-17), (2, 0), (2, 1), (1, 1), (0, 1)], 1),
+            ([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 1.0000000000000002), (0, 1)], 4),
         ):
             tour = ClosedTour(tuple(Point(*v) for v in verts))
-            calls.clear()
             got = guaranteed_partition(tour.vertices, tour, 4)
-            assert calls == [scanned]
+            assert tour._cum[pair] == tour._cum[pair + 1]
+            later, earlier = tour.vertices[pair + 1], tour.vertices[pair]
+            assert got.diagonals[0].p == later or got.diagonals[0].q == later
+            assert any(
+                (later, earlier) in zip(piece.vertices, piece.vertices[1:]) for piece in got.tours
+            ), got.tours
+            assert_points_are_vertices(got)
             for assign in (naive_vertex_sides, naive_assign_points):
                 ref = naive_guaranteed_partition(tour.vertices, tour, 4, assign)
                 assert result_bits(got) == result_bits(ref)
