@@ -15,16 +15,9 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import (
-    CapacityError,
-    Instance,
-    _check_partition,
-    _ratio_from_table,
-    tour_values_by_subset,
-)
+from .exact import Instance, _ratio_from_table, tour_values_by_subset
 from .geometry import Point
 
-MAX_EXHAUSTIVE_POINTS = 12
 # How far a subset may beat its arc, or a gap fill raise a tour value,
 # before an exhaustive check fails: the rounding of the exact solvers.
 CHECK_TOL = 1e-9
@@ -68,15 +61,6 @@ def _subset_values(n: int) -> list[float]:
     return tour_values_by_subset(circle_points(n))
 
 
-def _exhaustive_values(n: int) -> list[float]:
-    """The table for an exhaustive check, whose cap is below the table's."""
-    if n > MAX_EXHAUSTIVE_POINTS:
-        raise CapacityError(
-            f"exhaustive circle checks are limited to {MAX_EXHAUSTIVE_POINTS} points, got {n}"
-        )
-    return _subset_values(n)
-
-
 @lru_cache(maxsize=None)
 def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
     """The nonempty masks over n points grouped by size, each group ascending."""
@@ -109,7 +93,7 @@ def verify_arc_optimality(n: int, m: int) -> ArcOptimalityReport:
     """
     if not 1 <= m <= n:
         raise ValueError(f"arc size must be in 1..{n}, got {m}")
-    values = _exhaustive_values(n)
+    values = _subset_values(n)
     arc_mask = (1 << m) - 1
     arc_value = values[arc_mask]
     min_value = math.inf
@@ -142,7 +126,7 @@ def verify_gap_fill_monotonicity(n: int) -> int:
     VerificationError on any move that increases the exact tour value by
     more than ``CHECK_TOL``.  Returns the number of moves checked.
     """
-    values = _exhaustive_values(n)
+    values = _subset_values(n)
     moves = 0
     # a mask's members are those of the mask without its top bit, plus that bit
     members_of: list[tuple[int, ...]] = [()] * (1 << n)
@@ -179,5 +163,4 @@ def circle_ratio(n: int, k: int) -> float:
         raise ValueError(f"need at least 2 circle points, got {n}")
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
-    _check_partition(n, k)
     return _ratio_from_table(circle_points(n), _subset_values(n), k)

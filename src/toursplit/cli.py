@@ -28,7 +28,6 @@ from .circle import (
 from .exact import (
     CapacityError,
     Instance,
-    _check_partition,
     _partition_from_table,
     optimal_tour,
     tour_values_by_subset,
@@ -188,7 +187,6 @@ def cmd_split(args: argparse.Namespace) -> int:
         optimal_length = tour.length
     else:
         with _solving(args.input):
-            _check_partition(instance.n, args.k)
             values = tour_values_by_subset(instance)
             result = _partition_from_table(instance, values, args.k)
         optimal_length = values[-1]  # the optimal tour's length, to the bit

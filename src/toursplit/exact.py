@@ -125,8 +125,6 @@ def optimal_tour(instance: Instance) -> ClosedTour:
         raise CapacityError(
             f"exact tours are limited to {MAX_EXACT_POINTS} points, got {n}"
         )
-    if n == 1:
-        return ClosedTour(instance.points)
     length, order = kernels.shortest_cycle(instance.distance_matrix(), n)
     if not math.isfinite(length):
         raise ValueError("every tour through the points overflows the float range")
@@ -145,16 +143,6 @@ def tour_values_by_subset(instance: Instance) -> list[float]:
     if not math.isfinite(values[-1]):
         raise ValueError("the tour through all the points overflows the float range")
     return values
-
-
-def _check_partition(n: int, k: int) -> None:
-    """Reject a bad ``k`` and an ``n`` over the partition cap."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n > MAX_PARTITION_POINTS:
-        raise CapacityError(
-            f"partition enumeration is limited to {MAX_PARTITION_POINTS} points, got {n}"
-        )
 
 
 def _partition_from_table(instance: Instance, values: list[float], k: int) -> SolveResult:
@@ -195,11 +183,13 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
     Every partition is considered, so this is exact; the search reuses one
     precomputed tour value per subset.
     """
-    _check_partition(instance.n, k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return _partition_from_table(instance, tour_values_by_subset(instance), k)
 
 
 def speedup_ratio(instance: Instance, k: int) -> float:
     """Best-possible k-way time divided by the single-tour optimum, in (0, 1]."""
-    _check_partition(instance.n, k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return _ratio_from_table(instance, tour_values_by_subset(instance), k)

@@ -183,7 +183,7 @@ class TestVerificationFailureSignal:
         # a table in which the alternate half {1, 3, 5, 7} beats every arc
         values = list(circle._subset_values(8))
         values[0b01010101] = values[0b1111] - 1.0
-        monkeypatch.setattr(circle, "_exhaustive_values", lambda n: values)
+        monkeypatch.setattr(circle, "_subset_values", lambda n: values)
         with pytest.raises(
             VerificationError, match=r"subset \(1, 3, 5, 7\) of the 8-circle beats the 4-arc"
         ):

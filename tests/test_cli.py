@@ -175,20 +175,27 @@ class TestSplit:
         assert len(doc["blocks"]) == 1
         assert doc["blocks"][0]["points"] == [[2.0, 3.0]]
 
-    @pytest.mark.parametrize("n, scale", [(8, 1e-200), (6, 1e300)])
-    def test_far_from_unit_size(self, tmp_path, capsys, n, scale):
+    # the last case is 2.5 wide near x = 1e8, where the coordinates' rounding
+    # exceeds 1e-9 of the tour, which the chord root's residual check once failed
+    @pytest.mark.parametrize(
+        "n, scale, offset",
+        [(8, 1e-200, 0.0), (6, 1e300, 0.0), (9, 2.5, 1e8)],
+        ids=["8-1e-200", "6-1e300", "9-2.5-1e8"],
+    )
+    def test_far_from_unit_size(self, tmp_path, capsys, n, scale, offset):
         gen = str(tmp_path / "gen.txt")
         assert main(["gen", "-n", str(n), "--seed", "3", "--out", gen]) == 0
         pts = parse_instance_text(open(gen).read())
-        path = write(
-            tmp_path, "far.txt", format_instance([Point(p.x * scale, p.y * scale) for p in pts])
-        )
-        for k in (2, 3, 8):
+        path = write(tmp_path, "far.txt", format_instance(
+            [Point(offset + p.x * scale, p.y * scale) for p in pts]
+        ))
+        for k in (2, 3, 5, 8):
             code, out = run(capsys, ["split", path, "-k", str(k)])
             assert code == 0, k
             doc = json.loads(out)
             for block in doc["blocks"]:
                 assert block["length"] <= doc["bound"] * (1 + 1e-9)
+                assert all(pt in block["tour"] for pt in block["points"])
             for p, q in doc["diagonals"]:
                 assert math.dist(p, q) <= doc["optimal_length"] / math.pi * (1 + 1e-9)
 
@@ -210,7 +217,7 @@ class TestSplit:
         code = main(["split", path, "-k", "2", "--strategy", "exact"])
         assert code == 3
         err = capsys.readouterr().err
-        limit = "partition enumeration is limited to 13 points, got 14"
+        limit = "subset tables are limited to 13 points, got 14"
         assert err == f"capacity: {path}: {limit}\n"
 
     def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
@@ -334,6 +341,21 @@ class TestCircleCommand:
         monkeypatch.setattr("toursplit.cli.verify_arc_optimality", explode)
         code = main(["circle", "-n", "8", "-k", "2", "--verify"])
         assert code == 4
+
+    def test_verify_reaches_the_subset_table_cap(self, capsys):
+        code, out = run(capsys, ["circle", "-n", "13", "-k", "5", "--verify"])
+        assert code == 0
+        assert "arc_optimality n=13: pass (m=1..13, 8191 subsets)" in out
+        assert "gap_fill_monotonicity n=13: pass (26611 moves)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "14", "-k", "7", "--verify"],  # the ratio is closed-form, the checks are not
+        ["-n", "14", "-k", "5"],  # the ratio reads the table
+    ])
+    def test_over_the_subset_table_cap_exit_3(self, capsys, argv):
+        assert main(["circle", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err == "capacity: subset tables are limited to 13 points, got 14\n"
 
 
 class TestOneTablePerJob:

@@ -203,6 +203,15 @@ class TestSubsetTable:
             last = tour_values_by_subset(inst)[-1]
             assert last.hex() == optimal_tour(inst).length.hex(), inst.n
 
+    def test_the_cap_is_checked_before_the_table_is_built(self, monkeypatch):
+        # the only check of MAX_PARTITION_POINTS, for every caller of the table
+        def unexpected(dist, n):
+            raise AssertionError("the subset table was built over the cap")
+
+        monkeypatch.setattr(kernels, "cycle_lengths_by_subset", unexpected)
+        with pytest.raises(CapacityError, match="subset tables are limited to 13 points, got 14"):
+            tour_values_by_subset(random_instance(random.Random(13), 14))
+
 
 class TestSpeedupRatio:
     def test_k1_is_one(self):
@@ -232,7 +241,7 @@ class TestSpeedupRatio:
             raise AssertionError("the tour DP ran before the partition cap was checked")
 
         monkeypatch.setattr(kernels, "shortest_cycle", unexpected)
-        with pytest.raises(CapacityError, match="partition enumeration is limited"):
+        with pytest.raises(CapacityError, match="subset tables are limited"):
             speedup_ratio(random_instance(random.Random(11), 14), 2)
 
     def test_always_in_unit_interval(self):

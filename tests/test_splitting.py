@@ -703,6 +703,23 @@ class TestGuaranteedPartition:
                     )
                     assert got.value == base.value * f
 
+    def test_far_from_the_origin_keeps_the_guarantee(self):
+        # offsets from 1e8 to 1e14, where an ulp of a coordinate (up to
+        # 0.016) is far above 1e-9 of these 1- to 100-wide tours
+        rng = random.Random(89)
+        for e in range(8, 14):
+            for _ in range(8):
+                off = 10.0**e * rng.uniform(1.0, 10.0)
+                width = 10.0 ** rng.uniform(0.0, 2.0)
+                tour = random_simple_tour(rng, rng.randint(4, 20), width)
+                pts = [Point(off + p.x, p.y - off) for p in tour.vertices]
+                far = ClosedTour(tuple(dict.fromkeys(pts)))
+                for k in (2, 5, 16):
+                    result = guaranteed_partition(far.vertices, far, k)
+                    assert result.value <= split_plan(k).ratio * far.length * (1 + 1e-9)
+                    for d in result.diagonals:
+                        assert d.p.distance_to(d.q) <= far.length / math.pi * (1 + 1e-9)
+
     def test_more_leaves_than_points_drops_empty_blocks(self):
         tri = ClosedTour((Point(0, 0), Point(1, 0), Point(0.5, 0.8)))
         result = guaranteed_partition(tri.vertices, tri, 6)
