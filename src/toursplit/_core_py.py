@@ -49,6 +49,13 @@ that ends at its mask's anchor exists only in the anchor's singleton, so
 the compiled lane's ``prev == anchor`` candidate from a larger mask reads
 an unset cell.  Each cell starts at INF and an INF candidate never passes
 the strict comparison, so dropping it changes no cell.
+
+``LazySubsetTable`` computes the same table one mask at a time, when the
+partition search first reads it.  Cell (mask, last) reads only cells of
+mask less ``last``, and ``last`` is never the anchor, so a mask's values
+depend only on the masks below it that keep its lowest bit.  Each cell gets
+the bottom-up table's candidates in its order under its strict comparison,
+so every value read is the bottom-up table's to the bit.
 """
 
 from __future__ import annotations
@@ -314,17 +321,140 @@ def cycle_lengths_by_subset(dist: list[float], n: int) -> list[float]:
     return values
 
 
+class LazySubsetTable(dict):
+    """``cycle_lengths_by_subset(dist, n)`` as a dict that computes a mask's
+    value when it is first read.
+
+    A mask's path lengths from its anchor, by last point, are kept as a row,
+    so masks that share submasks share their work.
+    """
+
+    def __init__(self, dist: list[float], n: int) -> None:
+        super().__init__()
+        self._n = n
+        self._cols = [dist[j::n] for j in range(n)]  # cols[last][prev] = dist[prev*n+last]
+        self._rows: dict[int, list[float]] = {}
+
+    def __missing__(self, mask: int) -> float:
+        members = [i for i in range(self._n) if mask >> i & 1]
+        best = 0.0
+        if len(members) > 1:
+            row = self._rows.get(mask) or self._row(mask, members)
+            back = self._cols[members[0]]
+            best = INF
+            for last in members[1:]:
+                closed = row[last] + back[last]
+                if closed < best:
+                    best = closed
+        self[mask] = best
+        return best
+
+    def _row(self, mask: int, members: list[int]) -> list[float]:
+        """Shortest paths from the anchor through ``mask`` by last point, INF
+        where the bottom-up table leaves a cell unset."""
+        row = [INF] * self._n
+        tail = members[1:]
+        if not tail:
+            row[members[0]] = 0.0
+        # the anchor ends a path only in its singleton, so it is a live
+        # predecessor only when the mask has two members
+        prevs = tail if len(tail) > 1 else members
+        for last in tail:
+            sub = mask ^ (1 << last)
+            before = self._rows.get(sub) or self._row(sub, [m for m in members if m != last])
+            col = self._cols[last]
+            cur = INF
+            for prev in prevs:
+                if prev == last:
+                    continue
+                cand = before[prev] + col[prev]
+                if cand < cur:
+                    cur = cand
+            row[last] = cur
+        self._rows[mask] = row
+        return row
+
+
+def partition_limit(dist: list[float], n: int, order: list[int], k: int) -> float:
+    """A ``limit`` for ``min_max_partition`` above its minimum, or INF.
+
+    It is the best cut of the tour ``order`` into at most ``k`` arcs, each
+    closed back to its first point, times ``1 + 1e-9``.  Each block of that
+    cut lies inside one such arc, so the optimal tour of any subset of the
+    block is at most the arc's closed length: the distances, rounded
+    Euclidean ones, keep the triangle inequality up to rounding.  The table
+    values and the closed lengths are float sums of at most 2n distances,
+    so rounding moves them by far less than the slack, and the bound is
+    above the search's value for that cut.  As in the tour DP's pruning,
+    that is proven only while every distance lies in [0, 2^1000] and the
+    bound is at least 2^-1000; outside that range (k >= n included, where
+    the bound is 0) the limit is INF.
+    """
+    if not all(0.0 <= d <= _HUGE for d in dist):
+        return INF
+    # closed[i][m]: the m + 1 points from order[i] on, closed back to order[i]
+    closed = []
+    for i, first in enumerate(order):
+        path, prev, row = 0.0, first, []
+        for v in order[i:] + order[:i]:
+            path += dist[prev * n + v]
+            row.append(path + dist[v * n + first])
+            prev = v
+        closed.append(row)
+    candidates = sorted({c for row in closed for c in row})
+    lo, hi = 0, len(candidates) - 1  # the largest lets one arc hold the tour
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _cuts_within(closed, n, k, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    bound = candidates[hi]
+    return bound * _SLACK if bound >= _TINY else INF
+
+
+def _cuts_within(closed: list[list[float]], n: int, k: int, cap: float) -> bool:
+    """Whether some cut of the tour into at most ``k`` arcs closes every arc
+    within ``cap``: from each start, arcs are taken greedily, each as long as
+    all its prefixes close within ``cap``."""
+    reach = []
+    for row in closed:
+        m = 1
+        while m < n and row[m] <= cap:
+            m += 1
+        reach.append(m)
+    for start in range(n):
+        covered = 0
+        for _ in range(k):
+            covered += reach[(start + covered) % n]
+            if covered >= n:
+                return True
+    return False
+
+
 def min_max_partition(
-    values: list[float], n: int, k: int
+    values: list[float], n: int, k: int, limit: float = INF
 ) -> tuple[float, list[int]]:
     """Minimize the maximum subset value over partitions into <= k blocks.
 
-    ``values`` is a by-bitmask table (as from ``cycle_lengths_by_subset``).
-    Partitions are enumerated as restricted-growth strings in lexicographic
-    order with strict-improvement updates, so the returned labelling is the
-    lexicographically smallest minimizer.  Branches whose running maximum
-    already meets the incumbent are pruned; this is safe because the table
-    values are monotone under adding points to a block.
+    ``values`` is a by-bitmask table (as from ``cycle_lengths_by_subset``,
+    or a ``LazySubsetTable``).  Partitions are enumerated as
+    restricted-growth strings in lexicographic order with
+    strict-improvement updates, so the returned labelling is the
+    lexicographically smallest minimizer.  A partition is ranked by its
+    running maximum: the largest value over every prefix, by point index,
+    of each block.  Float subset values are not monotone under adding
+    points, so this can sit an ulp above the largest value of the blocks
+    themselves.  Branches whose running maximum already meets the incumbent
+    are pruned; this is safe because a branch's running maximum never falls
+    as it descends.
+
+    The incumbent starts at ``limit``.  Any limit strictly above the minimum
+    returns the same lexicographically first minimiser: that labelling's
+    running maxima all lie below the limit and below every earlier
+    labelling's value, so it is reached and kept as with no limit, and no
+    later one improves on it.  A limit at or below the minimum raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("need at least one point")
@@ -333,7 +463,7 @@ def min_max_partition(
     k = min(k, n)
     labels = [0] * n
     block_masks = [0] * k
-    best_value = INF
+    best_value = limit
     best_labels: list[int] | None = None
 
     def descend(i: int, used: int, cur_max: float) -> None:
@@ -344,8 +474,7 @@ def min_max_partition(
                 best_labels = labels.copy()
             return
         bit = 1 << i
-        limit = used + 1 if used < k else k
-        for lab in range(limit):
+        for lab in range(used + 1 if used < k else k):
             new_mask = block_masks[lab] | bit
             v = values[new_mask]
             new_max = cur_max if cur_max >= v else v
@@ -358,5 +487,6 @@ def min_max_partition(
             block_masks[lab] = old
 
     descend(0, 0, 0.0)
-    assert best_labels is not None
+    if best_labels is None:
+        raise ValueError("no partition lies below the limit")
     return best_value, best_labels

@@ -25,13 +25,7 @@ from .circle import (
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
-from .exact import (
-    CapacityError,
-    Instance,
-    _partition_from_table,
-    optimal_tour,
-    tour_values_by_subset,
-)
+from .exact import CapacityError, Instance, _exact_partition, optimal_tour
 from .geometry import ClosedTour, Point
 from .splitting import ChordSearchError, bounds_table, guaranteed_partition, split_plan
 from .svgout import render_svg
@@ -187,9 +181,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         optimal_length = tour.length
     else:
         with _solving(args.input):
-            values = tour_values_by_subset(instance)
-            result = _partition_from_table(instance, values, args.k)
-        optimal_length = values[-1]  # the optimal tour's length, to the bit
+            optimal_length, result = _exact_partition(instance, args.k)
         extra = {"k": args.k, "strategy": "exact", "bound": None}
         guarantee = None
     doc = _result_document(

@@ -2,7 +2,7 @@
 
 The tour solver is a Held-Karp subset dynamic program, exact up to the
 stated point budgets.  The k-partition oracle enumerates set partitions as
-restricted-growth strings, reusing one tour value per subset, and breaks
+restricted-growth strings, reading one tour value per subset, and breaks
 ties by the lexicographically smallest labelling so results are stable.
 """
 
@@ -131,29 +131,33 @@ def optimal_tour(instance: Instance) -> ClosedTour:
     return ClosedTour(tuple(instance.points[i] for i in order))
 
 
-def tour_values_by_subset(instance: Instance) -> list[float]:
-    """Optimal tour length for every subset of the points, by bitmask."""
+def _capped_distances(instance: Instance) -> list[float]:
+    """The distance matrix, once the instance fits the subset-table cap."""
     n = instance.n
     if n > MAX_PARTITION_POINTS:
         raise CapacityError(
             f"subset tables are limited to {MAX_PARTITION_POINTS} points, got {n}"
         )
-    values = kernels.cycle_lengths_by_subset(instance.distance_matrix(), n)
-    # a subset's value is at most the whole set's, the last entry
-    if not math.isfinite(values[-1]):
+    return instance.distance_matrix()
+
+
+def _check_whole(length: float) -> None:
+    """Reject an overflowing whole-set tour; no subset's tour is longer."""
+    if not math.isfinite(length):
         raise ValueError("the tour through all the points overflows the float range")
+
+
+def tour_values_by_subset(instance: Instance) -> list[float]:
+    """Optimal tour length for every subset of the points, by bitmask."""
+    values = kernels.cycle_lengths_by_subset(_capped_distances(instance), instance.n)
+    _check_whole(values[-1])
     return values
 
 
-def _partition_from_table(instance: Instance, values: list[float], k: int) -> SolveResult:
-    """The optimal partition read from ``values``, the instance's subset table.
-
-    Each block's tour is solved again, since the table keeps lengths only.
-    """
-    n = instance.n
-    _, labels = kernels.min_max_partition(values, n, min(k, n))
-    block_count = max(labels) + 1
-    blocks: list[list[Point]] = [[] for _ in range(block_count)]
+def _blocks_solved(instance: Instance, labels: list[int]) -> SolveResult:
+    """The partition ``labels`` names, each block's tour solved again, since
+    the search keeps lengths only."""
+    blocks: list[list[Point]] = [[] for _ in range(max(labels) + 1)]
     for idx, lab in enumerate(labels):
         blocks[lab].append(instance.points[idx])
     tours = tuple(optimal_tour(Instance(tuple(block))) for block in blocks)
@@ -165,31 +169,72 @@ def _partition_from_table(instance: Instance, values: list[float], k: int) -> So
     )
 
 
+def _partition_from_table(instance: Instance, values: list[float], k: int) -> SolveResult:
+    """The optimal partition read from ``values``, the instance's subset table."""
+    n = instance.n
+    _, labels = kernels.min_max_partition(values, n, min(k, n))
+    return _blocks_solved(instance, labels)
+
+
+def _ratio(best: SolveResult, whole: float) -> float:
+    if whole == 0.0:
+        raise ValueError("ratio undefined: optimal tour has zero length")
+    return best.value / whole
+
+
 def _ratio_from_table(instance: Instance, values: list[float], k: int) -> float:
     """OPT_k / OPT_1 read from the instance's subset table.
 
     The table anchors the whole set at point 0 and gives each cell the same
     sums as the Held-Karp tour DP, so its last entry is OPT_1 to the bit.
     """
-    best = _partition_from_table(instance, values, k)
-    if values[-1] == 0.0:
-        raise ValueError("ratio undefined: optimal tour has zero length")
-    return best.value / values[-1]
+    return _ratio(_partition_from_table(instance, values, k), values[-1])
+
+
+def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
+    """OPT_1 and the optimal partition into at most ``k`` blocks.
+
+    The compiled lane reads both from the whole subset table.  The pure lane
+    takes OPT_1 from the tour DP, the same float as the table's last entry
+    (see ``_ratio_from_table``), and searches a ``LazySubsetTable`` from a
+    limit just above a cut of the optimal tour, so it computes only the
+    subset values the search reads.  One block (k = 1) and singletons
+    (k >= n, the only partition of value 0) need no search.
+    """
+    if kernels.LazySubsetTable is None:
+        values = tour_values_by_subset(instance)
+        return values[-1], _partition_from_table(instance, values, k)
+    n = instance.n
+    dist = _capped_distances(instance)
+    whole, order = kernels.shortest_cycle(dist, n)
+    _check_whole(whole)
+    k = min(k, n)
+    if k == 1:  # the one block's tour is the one just solved
+        tour = ClosedTour(tuple(instance.points[i] for i in order))
+        return whole, SolveResult(Partition((instance.points,)), (tour,), tour.length)
+    if k == n:
+        labels = list(range(n))
+    else:
+        limit = kernels.partition_limit(dist, n, order, k)
+        _, labels = kernels.min_max_partition(kernels.LazySubsetTable(dist, n), n, k, limit)
+    return whole, _blocks_solved(instance, labels)
 
 
 def optimal_partition(instance: Instance, k: int) -> SolveResult:
     """Partition into at most ``k`` blocks minimizing the longest block tour.
 
-    Every partition is considered, so this is exact; the search reuses one
-    precomputed tour value per subset.
+    Every partition is considered, so this is exact; the search reads one
+    tour value per subset, and the pure lane computes only the values it
+    reads.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _partition_from_table(instance, tour_values_by_subset(instance), k)
+    return _exact_partition(instance, k)[1]
 
 
 def speedup_ratio(instance: Instance, k: int) -> float:
     """Best-possible k-way time divided by the single-tour optimum, in (0, 1]."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _ratio_from_table(instance, tour_values_by_subset(instance), k)
+    whole, best = _exact_partition(instance, k)
+    return _ratio(best, whole)

@@ -33,3 +33,12 @@ else:
 shortest_cycle = _impl.shortest_cycle
 cycle_lengths_by_subset = _impl.cycle_lengths_by_subset
 min_max_partition = _impl.min_max_partition
+
+# The pure partition search reads a table that computes each subset's value
+# on first read, from a seeded limit; the compiled search copies a whole
+# table into C, so that lane has neither.
+if BACKEND == "pure":
+    LazySubsetTable = _impl.LazySubsetTable
+    partition_limit = _impl.partition_limit
+else:
+    LazySubsetTable = partition_limit = None

@@ -295,6 +295,17 @@ class TestOverflow:
         assert err.startswith(f"error: {path}: ") and "overflow" in err
 
 
+    @pytest.mark.parametrize("k", ["1", "2", "5"])
+    def test_exact_split_names_the_whole_tour(self, tmp_path, capsys, k):
+        # finite distances, but every tour through the three points overflows
+        path = write(tmp_path, "far.txt", "1e308 0\n0 0\n0 1\n")
+        code = main(["split", path, "-k", k, "--strategy", "exact"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: the tour through all the points overflows the float range\n"
+        )
+
+
 class TestBounds:
     def test_k_max_2_golden(self, capsys):
         code, out = run(capsys, ["bounds", "2"])
@@ -359,7 +370,8 @@ class TestCircleCommand:
 
 
 class TestOneTablePerJob:
-    """An oracle job builds its subset table once and reads OPT_1 from it."""
+    """An oracle job runs one whole-set DP, the table or the tour, and reads
+    OPT_1 from it."""
 
     @staticmethod
     def kernel_calls(monkeypatch) -> list:
@@ -391,14 +403,17 @@ class TestOneTablePerJob:
         code, out = run(capsys, ["split", str(path), "-k", "3", "--strategy", "exact"])
         assert code == 0
         doc = json.loads(out)
-        assert [c for c in calls if c[0] == "cycle_lengths_by_subset"] == [
-            ("cycle_lengths_by_subset", 13)
-        ]
-        assert ("shortest_cycle", 13) not in calls
         # the block re-solve still produces every tour
-        assert [c[1] for c in calls if c[0] == "shortest_cycle"] == [
-            len(b["points"]) for b in doc["blocks"] if len(b["points"]) > 1
-        ]
+        resolved = [len(b["points"]) for b in doc["blocks"] if len(b["points"]) > 1]
+        tours = [c[1] for c in calls if c[0] == "shortest_cycle"]
+        tables = [c[1] for c in calls if c[0] == "cycle_lengths_by_subset"]
+        if kernels.LazySubsetTable is None:
+            # the compiled search copies the whole table into C
+            assert (tables, tours) == ([13], resolved)
+        else:
+            # the pure search computes the subset values it reads, and OPT_1
+            # comes from the tour DP
+            assert (tables, tours) == ([], [13] + resolved)
 
 
 class TestGen:

@@ -9,6 +9,7 @@ from helpers import (
     brute_force_partition_value,
     brute_force_tour_length,
     random_instance,
+    random_points,
     tour_self_intersects,
 )
 from toursplit import (
@@ -19,7 +20,8 @@ from toursplit import (
     speedup_ratio,
     tour_values_by_subset,
 )
-from toursplit import kernels
+from toursplit import _core_py, kernels
+from toursplit.exact import _partition_from_table
 
 SIN_PI_8 = math.sin(math.pi / 8)
 SIN_3PI_8 = math.sin(3 * math.pi / 8)
@@ -199,9 +201,19 @@ class TestSubsetTable:
             Instance.from_points([(x, y) for x in range(cols) for y in range(rows)])
             for rows, cols in ((1, 5), (3, 3), (3, 4), (2, 6))
         ]
+        # the exact partitions' corpus: ties, far clusters, a regular polygon
+        cases += [
+            Instance.from_points([(x, 0) for x in range(13)]),
+            Instance.from_points([(x, y) for x in range(4) for y in range(4)][:13]),
+            Instance(random_points(rng, 6) + [(p.x + 1e3, p.y) for p in random_points(rng, 7)]),
+            circle_instance(13),
+        ]
         for inst in cases:
             last = tour_values_by_subset(inst)[-1]
             assert last.hex() == optimal_tour(inst).length.hex(), inst.n
+            # the pure lane's exact partitions take OPT_1 from the tour DP
+            dist = inst.distance_matrix()
+            assert last.hex() == _core_py.shortest_cycle(dist, inst.n)[0].hex(), inst.n
 
     def test_the_cap_is_checked_before_the_table_is_built(self, monkeypatch):
         # the only check of MAX_PARTITION_POINTS, for every caller of the table
@@ -211,6 +223,60 @@ class TestSubsetTable:
         monkeypatch.setattr(kernels, "cycle_lengths_by_subset", unexpected)
         with pytest.raises(CapacityError, match="subset tables are limited to 13 points, got 14"):
             tour_values_by_subset(random_instance(random.Random(13), 14))
+
+
+class TestLazyPartitionWork:
+    """The pure lane's exact partitions compute few of the 2^n subset values."""
+
+    @staticmethod
+    def lazy_tables(monkeypatch) -> list:
+        # the pure search on either lane, recording the tables it reads
+        made = []
+
+        class Recorded(_core_py.LazySubsetTable):
+            def __init__(self, dist, n):
+                super().__init__(dist, n)
+                made.append(self)
+
+        monkeypatch.setattr(kernels, "LazySubsetTable", Recorded)
+        monkeypatch.setattr(kernels, "partition_limit", _core_py.partition_limit)
+        monkeypatch.setattr(kernels, "min_max_partition", _core_py.min_max_partition)
+        return made
+
+    def test_uniform_13_points_compute_few_rows(self, monkeypatch):
+        # Reading values[-1] computes the 4096 rows of the masks that hold
+        # point 0, and so does an unseeded search: its first labelling puts
+        # every point in block 0.  A hard k = 2 input can need over a
+        # quarter of the 8192 rows, but the typical search needs far fewer.
+        made = self.lazy_tables(monkeypatch)
+        rng = random.Random(117)
+        rows = []
+        for _ in range(3):
+            inst = random_instance(rng, 13)
+            full = tour_values_by_subset(inst)
+            for k in (2, 3, 4):
+                result = optimal_partition(inst, k)
+                table = made.pop()
+                assert not made
+                rows.append(len(table._rows))
+                assert rows[-1] < (1 << 13) // 2, k
+                assert result == _partition_from_table(inst, full, k)
+        assert sorted(rows)[len(rows) // 2] < (1 << 13) // 4, rows
+
+    def test_one_block_and_singletons_need_no_search(self, monkeypatch):
+        made = self.lazy_tables(monkeypatch)
+        tours = []
+        solve = kernels.shortest_cycle
+        monkeypatch.setattr(kernels, "shortest_cycle", lambda d, n: tours.append(n) or solve(d, n))
+        inst = random_instance(random.Random(118), 7)
+        one = optimal_partition(inst, 1)
+        assert one.partition.blocks == (inst.points,)
+        assert tours == [7]  # the one block's tour is not solved again
+        assert one.tours == (optimal_tour(inst),) and one.value == optimal_tour(inst).length
+        for k in (7, 8):
+            blocks = optimal_partition(inst, k).partition.blocks
+            assert blocks == tuple((p,) for p in inst.points)
+        assert made == []
 
 
 class TestSpeedupRatio:

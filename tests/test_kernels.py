@@ -222,6 +222,90 @@ class TestPureLane:
             _core_py.min_max_partition([0.0, 0.0], 1, 0)
 
 
+def far_clusters(rng: random.Random, n: int) -> list[Point]:
+    """Two far-apart clusters of uniform points."""
+    half = n // 2
+    return random_points(rng, half) + [Point(p.x + 1e3, p.y) for p in random_points(rng, n - half)]
+
+
+def partition_inputs():
+    """The lane-parity corpus plus tie-heavy and clustered 13-point sets."""
+    yield from TestLaneParity.inputs()
+    yield collinear(13)
+    yield grid(4, 4)[:13]
+    yield far_clusters(random.Random(112), 13)
+    yield circle_points(13).points
+
+
+def seeded_lazy_search(dist: list[float], n: int, k: int):
+    """The pure lane's exact search: a lazy table from a limit seeded by a
+    cut of the optimal tour.  Returns the search's result and the table."""
+    order = _core_py.shortest_cycle(dist, n)[1]
+    table = _core_py.LazySubsetTable(dist, n)
+    limit = _core_py.partition_limit(dist, n, order, k)
+    return _core_py.min_max_partition(table, n, k, limit), table
+
+
+class TestLazyPartition:
+    def test_seeded_lazy_search_matches_the_full_table(self):
+        for pts in partition_inputs():
+            n = len(pts)
+            dist = flat_distances(pts)
+            full = _core_py.cycle_lengths_by_subset(dist, n)
+            for k in range(1, n + 2):
+                result, table = seeded_lazy_search(dist, n, k)
+                assert result == _core_py.min_max_partition(full, n, k), (pts, k)
+                # every value the lazy table computed is the full table's, to the bit
+                assert all(v.hex() == full[m].hex() for m, v in table.items())
+
+    def test_the_seed_is_set_between_one_block_and_singletons(self):
+        # otherwise the parity above would hold with no seed at all
+        rng = random.Random(113)
+        for n in (3, 8, 13):
+            dist = flat_distances(random_points(rng, n))
+            order = _core_py.shortest_cycle(dist, n)[1]
+            for k in range(1, n):
+                assert _core_py.partition_limit(dist, n, order, k) < math.inf
+
+    def test_tiny_sets_and_k_at_least_n_run_unseeded(self):
+        # at k >= n the best cut is the singletons, of value 0: a seed of 0
+        # would prune every partition
+        rng = random.Random(114)
+        for pts in ([Point(0.5, 0.5)], random_points(rng, 2), random_points(rng, 5)):
+            n = len(pts)
+            dist = flat_distances(pts)
+            order = _core_py.shortest_cycle(dist, n)[1]
+            for k in range(n, n + 3):
+                assert _core_py.partition_limit(dist, n, order, k) == math.inf
+                result, _ = seeded_lazy_search(dist, n, k)
+                assert result == (0.0, list(range(n)))
+        dist = flat_distances(random_points(rng, 2))
+        assert seeded_lazy_search(dist, 2, 1)[0] == (2 * dist[1], [0, 0])
+
+    def test_far_scales_run_unseeded(self):
+        # distances past 2^1000, or a cut below 2^-1000, leave the slack unproven
+        rng = random.Random(115)
+        for scale in (2.0**1010, 2.0**-1030, 1e-320):
+            pts = random_points(rng, 9, scale=scale)
+            dist = flat_distances(pts)
+            full = _core_py.cycle_lengths_by_subset(dist, 9)
+            order = _core_py.shortest_cycle(dist, 9)[1]
+            for k in range(1, 11):
+                assert _core_py.partition_limit(dist, 9, order, k) == math.inf
+                result, _ = seeded_lazy_search(dist, 9, k)
+                assert result == _core_py.min_max_partition(full, 9, k)
+
+    def test_a_limit_at_the_minimum_finds_nothing(self):
+        dist = flat_distances(random_points(random.Random(116), 6))
+        full = _core_py.cycle_lengths_by_subset(dist, 6)
+        value, labels = _core_py.min_max_partition(full, 6, 3)
+        assert _core_py.min_max_partition(full, 6, 3, math.nextafter(value, math.inf)) == (
+            value, labels
+        )
+        with pytest.raises(ValueError, match="no partition lies below the limit"):
+            _core_py.min_max_partition(full, 6, 3, value)
+
+
 class TestLaneParity:
     @staticmethod
     def inputs():
@@ -231,6 +315,15 @@ class TestLaneParity:
         # regular polygons are full of exact and near ties
         for n in (2, 6, 8, 12, 13):
             yield circle_points(n).points
+
+    def test_seeded_lazy_search_matches_the_compiled_search(self, compiled_core):
+        for pts in partition_inputs():
+            n = len(pts)
+            dist = flat_distances(pts)
+            table = compiled_core.cycle_lengths_by_subset(dist, n)
+            for k in range(1, n + 2):
+                expected = compiled_core.min_max_partition(table, n, k)
+                assert seeded_lazy_search(dist, n, k)[0] == expected, (pts, k)
 
     def test_backends_bit_identical(self, compiled_core):
         for pts in self.inputs():
