@@ -17,7 +17,6 @@ from .circle import (
 )
 from .exact import (
     MAX_EXACT_POINTS,
-    MAX_PARTITION_POINTS,
     CapacityError,
     Instance,
     Partition,
@@ -60,7 +59,6 @@ __all__ = [
     "Direction",
     "Instance",
     "MAX_EXACT_POINTS",
-    "MAX_PARTITION_POINTS",
     "MAX_SPLIT_K",
     "Partition",
     "PlanNode",

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
-from .exact import Instance, _ratio_from_table, tour_values_by_subset
+from .exact import Instance, speedup_ratio, tour_values_by_subset
 from .geometry import Point
 
 # How far a subset may beat its arc, or a gap fill raise a tour value,
@@ -57,7 +58,7 @@ def circle_limit_ratio(k: int) -> float:
 
 @lru_cache(maxsize=None)
 def _subset_values(n: int) -> list[float]:
-    """The n-circle's subset table, shared by circle_ratio and the checks."""
+    """The n-circle's subset table, shared by the exhaustive checks."""
     return tour_values_by_subset(circle_points(n))
 
 
@@ -124,30 +125,38 @@ def verify_gap_fill_monotonicity(n: int) -> int:
 
     Runs over all subsets of the n-circle and all valid (i, j) pairs; raises
     VerificationError on any move that increases the exact tour value by
-    more than ``CHECK_TOL``.  Returns the number of moves checked.
+    more than ``CHECK_TOL``, naming the first in order of subset mask, then
+    i.  Returns the number of moves checked.
+
+    The moves are checked by class (i, gap): the subsets that hold p_i and
+    its next member j = i + gap, none of the points between them and any of
+    the rest.  Every move of a class trades j for p_i's successor.
     """
     values = _subset_values(n)
+    get = values.__getitem__
     moves = 0
-    # a mask's members are those of the mask without its top bit, plus that bit
-    members_of: list[tuple[int, ...]] = [()] * (1 << n)
-    for mask in range(1, 1 << n):
-        top = mask.bit_length()
-        members = members_of[mask] = members_of[mask ^ (1 << (top - 1))] + (top,)
-        if len(members) == n or len(members) == 1:
-            continue
-        # j is i's next member, cyclically, so the gap after i ends at j
-        for i, j in zip(members, members[1:] + members[:1]):
-            if (j - i) % n < 2:
-                continue
-            successor = i % n + 1
-            new_mask = mask & ~(1 << (j - 1)) | (1 << (successor - 1))
-            delta = values[mask] - values[new_mask]
-            moves += 1
-            if delta < -CHECK_TOL:
-                raise VerificationError(
-                    f"gap fill on subset {members} of the {n}-circle (i={i}, j={j}) "
-                    f"increased the tour value by {-delta}"
-                )
+    costly = []  # (mask, i, j, delta) of every move that raised a value
+    for i in range(n):  # bit i is p_(i+1)
+        for gap in range(2, n):
+            j = (i + gap) % n
+            olds = [1 << i | 1 << j]
+            news = [1 << i | 1 << (i + 1) % n]
+            for offset in range(gap + 1, n):  # the rest, each in or out
+                bit = 1 << (i + offset) % n
+                olds += [mask | bit for mask in olds]
+                news += [mask | bit for mask in news]
+            moves += len(olds)
+            if min(map(sub, map(get, olds), map(get, news))) < -CHECK_TOL:
+                for mask, new_mask in zip(olds, news):
+                    delta = values[mask] - values[new_mask]
+                    if delta < -CHECK_TOL:
+                        costly.append((mask, i + 1, j + 1, delta))
+    if costly:
+        mask, i, j, delta = min(costly)
+        raise VerificationError(
+            f"gap fill on subset {_indices_of(mask, n)} of the {n}-circle (i={i}, j={j}) "
+            f"increased the tour value by {-delta}"
+        )
     return moves
 
 
@@ -163,4 +172,4 @@ def circle_ratio(n: int, k: int) -> float:
         raise ValueError(f"need at least 2 circle points, got {n}")
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
-    return _ratio_from_table(circle_points(n), _subset_values(n), k)
+    return speedup_ratio(circle_points(n), k)

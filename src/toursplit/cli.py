@@ -5,15 +5,13 @@ guaranteed), ``bounds`` (ratio bounds CSV), ``circle`` (circle ratios and
 exhaustive verification), ``gen`` (seeded instances), ``plot`` (SVG).
 
 Exit codes: 0 ok, 2 input error, 3 capacity exceeded, 4 verification
-failure (an exhaustive check, or a chord search that found no short
-diagonal).  All randomness flows through the single --seed flag.
+failure (an exhaustive check, or a split that missed its guarantee).
+All randomness flows through the single --seed flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
@@ -148,6 +146,8 @@ def _result_document(
 
 
 def _emit_document(doc: dict, out: Optional[str]) -> None:
+    import json  # only the commands that write documents pay for it
+
     _write_text(json.dumps(doc, indent=2) + "\n", out)
 
 
@@ -228,6 +228,8 @@ def cmd_circle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import random
+
     rng = random.Random(args.seed)
     points = [Point(rng.random(), rng.random()) for _ in range(args.n)]
     _write_text(format_instance(points), args.out)
@@ -235,6 +237,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    import json
+
     try:
         doc = json.loads(_read_text(args.result))
     except json.JSONDecodeError as exc:

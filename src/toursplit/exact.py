@@ -1,15 +1,16 @@
 """Exact desk-scale oracles: optimal tours, min-max k-partitions, speedup ratios.
 
-The tour solver is a Held-Karp subset dynamic program, exact up to the
-stated point budgets.  The k-partition oracle enumerates set partitions as
-restricted-growth strings, reading one tour value per subset, and breaks
-ties by the lexicographically smallest labelling so results are stable.
+The tour solver is a Held-Karp subset dynamic program.  The k-partition
+oracle enumerates set partitions as restricted-growth strings, reading one
+tour value per subset, and breaks ties by the lexicographically smallest
+labelling so results are stable.  Every oracle is exact and limited to
+``MAX_EXACT_POINTS`` points.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .geometry import (
@@ -23,7 +24,6 @@ from .geometry import (
 )
 
 MAX_EXACT_POINTS = 18
-MAX_PARTITION_POINTS = 13
 
 
 class CapacityError(Exception):
@@ -114,44 +114,40 @@ class SolveResult(NamedTuple):
     diagonals: tuple[Diagonal, ...] = ()
 
 
-def optimal_tour(instance: Instance) -> ClosedTour:
-    """Minimum-length closed tour through all instance points.
+def _solved(
+    instance: Instance, kernel: Callable[[list[float], int], Sequence], whole_at: int
+) -> tuple[list[float], Sequence]:
+    """The distance matrix and ``kernel(matrix, n)``, after the one cap check.
 
-    Degenerate sizes are honored: a single point yields a zero-length tour
-    and two points an out-and-back tour of twice their distance.
+    ``result[whole_at]`` is the optimal tour length of the whole set; it
+    raises ValueError when that overflows.  No subset's tour is longer, so
+    when it is finite so is every tour value an exact oracle returns.
     """
     n = instance.n
     if n > MAX_EXACT_POINTS:
         raise CapacityError(
             f"exact tours are limited to {MAX_EXACT_POINTS} points, got {n}"
         )
-    length, order = kernels.shortest_cycle(instance.distance_matrix(), n)
-    if not math.isfinite(length):
-        raise ValueError("every tour through the points overflows the float range")
-    return ClosedTour(tuple(instance.points[i] for i in order))
-
-
-def _capped_distances(instance: Instance) -> list[float]:
-    """The distance matrix, once the instance fits the subset-table cap."""
-    n = instance.n
-    if n > MAX_PARTITION_POINTS:
-        raise CapacityError(
-            f"subset tables are limited to {MAX_PARTITION_POINTS} points, got {n}"
-        )
-    return instance.distance_matrix()
-
-
-def _check_whole(length: float) -> None:
-    """Reject an overflowing whole-set tour; no subset's tour is longer."""
-    if not math.isfinite(length):
+    dist = instance.distance_matrix()
+    result = kernel(dist, n)
+    if not math.isfinite(result[whole_at]):
         raise ValueError("the tour through all the points overflows the float range")
+    return dist, result
+
+
+def optimal_tour(instance: Instance) -> ClosedTour:
+    """Minimum-length closed tour through all instance points.
+
+    Degenerate sizes are honored: a single point yields a zero-length tour
+    and two points an out-and-back tour of twice their distance.
+    """
+    _, (_, order) = _solved(instance, kernels.shortest_cycle, 0)
+    return ClosedTour(tuple(instance.points[i] for i in order))
 
 
 def tour_values_by_subset(instance: Instance) -> list[float]:
     """Optimal tour length for every subset of the points, by bitmask."""
-    values = kernels.cycle_lengths_by_subset(_capped_distances(instance), instance.n)
-    _check_whole(values[-1])
-    return values
+    return _solved(instance, kernels.cycle_lengths_by_subset, -1)[1]
 
 
 def _blocks_solved(instance: Instance, labels: list[int]) -> SolveResult:
@@ -169,26 +165,10 @@ def _blocks_solved(instance: Instance, labels: list[int]) -> SolveResult:
     )
 
 
-def _partition_from_table(instance: Instance, values: list[float], k: int) -> SolveResult:
-    """The optimal partition read from ``values``, the instance's subset table."""
-    n = instance.n
-    _, labels = kernels.min_max_partition(values, n, min(k, n))
-    return _blocks_solved(instance, labels)
-
-
 def _ratio(best: SolveResult, whole: float) -> float:
     if whole == 0.0:
         raise ValueError("ratio undefined: optimal tour has zero length")
     return best.value / whole
-
-
-def _ratio_from_table(instance: Instance, values: list[float], k: int) -> float:
-    """OPT_k / OPT_1 read from the instance's subset table.
-
-    The table anchors the whole set at point 0 and gives each cell the same
-    sums as the Held-Karp tour DP, so its last entry is OPT_1 to the bit.
-    """
-    return _ratio(_partition_from_table(instance, values, k), values[-1])
 
 
 def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
@@ -196,19 +176,19 @@ def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
 
     The compiled lane reads both from the whole subset table.  The pure lane
     takes OPT_1 from the tour DP, the same float as the table's last entry
-    (see ``_ratio_from_table``), and searches a ``LazySubsetTable`` from a
-    limit just above a cut of the optimal tour, so it computes only the
-    subset values the search reads.  One block (k = 1) and singletons
-    (k >= n, the only partition of value 0) need no search.
+    (the table anchors the whole set at point 0 and gives each cell the
+    tour DP's sums), and searches a ``LazySubsetTable`` from a limit just
+    above a cut of the optimal tour, so it computes only the subset values
+    the search reads.  One block (k = 1) and singletons (k >= n, the only
+    partition of value 0) need no search.
     """
+    n = instance.n
+    k = min(k, n)
     if kernels.LazySubsetTable is None:
         values = tour_values_by_subset(instance)
-        return values[-1], _partition_from_table(instance, values, k)
-    n = instance.n
-    dist = _capped_distances(instance)
-    whole, order = kernels.shortest_cycle(dist, n)
-    _check_whole(whole)
-    k = min(k, n)
+        _, labels = kernels.min_max_partition(values, n, k)
+        return values[-1], _blocks_solved(instance, labels)
+    dist, (whole, order) = _solved(instance, kernels.shortest_cycle, 0)
     if k == 1:  # the one block's tour is the one just solved
         tour = ClosedTour(tuple(instance.points[i] for i in order))
         return whole, SolveResult(Partition((instance.points,)), (tour,), tour.length)

@@ -37,7 +37,10 @@ MAX_SPLIT_K = 100_000
 
 
 class ChordSearchError(RuntimeError):
-    """No chord root was found; this contradicts the existence guarantee."""
+    """A split missed its guarantee: no chord root was found, a piece came
+    out longer than g(k) times the tour's length, or a sub-tour that holds
+    points rounded to length 0.  Each contradicts the proof, so only
+    rounding can cause it."""
 
 
 def _chord_root(
@@ -337,6 +340,9 @@ def guaranteed_partition(
     block.  Each level runs one ``_split`` on the sub-tour's coordinates;
     Points and ClosedTours are built only for the result.  A point goes
     to the side of its first vertex, which that side's sub-tour keeps.
+    Raises ChordSearchError when rounding breaks the guarantee: a piece
+    longer than g(k) times the tour's length (with 1e-9 relative slack),
+    or a sub-tour that holds points but has length 0.
     """
     instance = points if isinstance(points, Instance) else Instance.from_points(points)
     plan = split_plan(k)
@@ -357,6 +363,11 @@ def guaranteed_partition(
         node, xs, ys, cum, ids, members = stack.pop()
         if not members:
             continue  # a subtree without points would only cut pieces it drops
+        if cum[-1] == 0.0:
+            raise ChordSearchError(
+                "a sub-tour that holds points has length 0: the tour is too "
+                "short for the precision of its coordinates"
+            )
         if node.is_leaf:
             kept.append((members, xs, ys))
             continue
@@ -366,9 +377,15 @@ def guaranteed_partition(
         stack.append((node.left, *left, [i for i, side in zip(members, sides) if side]))
     blocks = tuple(tuple(points[i] for i in members) for members, _, _ in kept)
     tours = tuple(_closed(xs, ys) for _, xs, ys in kept)
+    value = max(t.length for t in tours)
+    bound = plan.ratio * tour.length
+    if value > bound * (1.0 + 1e-9):
+        raise ChordSearchError(
+            f"the longest piece, {value}, exceeds g({k}) times the tour's length, {bound}"
+        )
     return SolveResult(
         partition=Partition(blocks),
         tours=tours,
-        value=max(t.length for t in tours),
+        value=value,
         diagonals=tuple(diagonals),
     )

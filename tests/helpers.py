@@ -460,6 +460,28 @@ def gap_fill_move_count(n: int) -> int:
     )
 
 
+def naive_gap_fill_failure(values: list[float], n: int, tol: float):
+    """The message for the first costly gap-fill move on the n-circle's
+    subset table ``values``, or None: subsets by ascending mask, members
+    by ascending index, one move per member whose successor is absent."""
+    for mask in range(1, 1 << n):
+        members = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        if len(members) in (1, n):
+            continue
+        for i, j in zip(members, members[1:] + members[:1]):
+            successor = i % n + 1
+            if successor in members:
+                continue
+            new_mask = mask & ~(1 << (j - 1)) | (1 << (successor - 1))
+            delta = values[mask] - values[new_mask]
+            if delta < -tol:
+                return (
+                    f"gap fill on subset {members} of the {n}-circle (i={i}, j={j}) "
+                    f"increased the tour value by {-delta}"
+                )
+    return None
+
+
 def _orient(a: Point, b: Point, c: Point) -> float:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 

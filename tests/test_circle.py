@@ -1,10 +1,11 @@
 """Circle point sets: closed forms, arc optimality, gap-fill monotonicity."""
 
 import math
+import random
 
 import pytest
 
-from helpers import brute_force_tour_length, gap_fill_move_count
+from helpers import brute_force_tour_length, gap_fill_move_count, naive_gap_fill_failure
 from toursplit import (
     Instance,
     VerificationError,
@@ -139,6 +140,23 @@ class TestGapFillStep:
             match=r"subset \(1, 3, 4\) of the 6-circle \(i=1, j=3\)",
         ):
             verify_gap_fill_monotonicity(6)
+
+
+    def test_the_first_costly_move_is_named(self, monkeypatch):
+        # with many costly moves, the check names the one a plain loop over
+        # the subsets meets first: smallest mask, then smallest i
+        rng = random.Random(21)
+        for n in (5, 7, 9):
+            values = list(circle._subset_values(n))
+            for mask in rng.sample(range(1, 1 << n), n):
+                values[mask] += rng.choice([1.0, 2.0 * circle.CHECK_TOL, 0.5 * circle.CHECK_TOL])
+            expected = naive_gap_fill_failure(values, n, circle.CHECK_TOL)
+            assert expected is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(circle, "_subset_values", lambda n: values)
+                with pytest.raises(VerificationError) as failure:
+                    verify_gap_fill_monotonicity(n)
+            assert str(failure.value) == expected
 
 
 class TestCircleRatio:

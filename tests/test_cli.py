@@ -213,12 +213,27 @@ class TestSplit:
             assert all(pt in block["tour"] for pt in block["points"])
 
     def test_exact_over_the_partition_cap_names_the_file(self, tmp_path, capsys):
-        path = write(tmp_path, "big.txt", "".join(f"{i} {i * i % 7}\n" for i in range(14)))
+        path = write(tmp_path, "big.txt", "".join(f"{i} {i * i % 7}\n" for i in range(19)))
         code = main(["split", path, "-k", "2", "--strategy", "exact"])
         assert code == 3
         err = capsys.readouterr().err
-        limit = "subset tables are limited to 13 points, got 14"
+        limit = "exact tours are limited to 18 points, got 19"
         assert err == f"capacity: {path}: {limit}\n"
+
+    @pytest.mark.parametrize("k, reason", [
+        ("2", "the longest piece, 1.1626406454245485e-15, exceeds g(2) times the tour's length"),
+        ("3", "a sub-tour that holds points has length 0"),
+        ("5", "a sub-tour that holds points has length 0"),
+        ("8", "a sub-tour that holds points has length 0"),
+    ])
+    def test_tour_too_short_for_its_precision_exit_4(self, tmp_path, capsys, k, reason):
+        # three points an ulp apart: rounding breaks the guarantee, which a
+        # document must never claim
+        text = "2 1\n2.0000000000000004 1\n2 1.0000000000000002\n"
+        code = main(["split", write(tmp_path, "tiny.txt", text), "-k", k])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"verification failed: {reason}")
+        assert main(["split", write(tmp_path, "tiny.txt", text), "-k", "1"]) == 0
 
     def test_chord_search_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def explode(xs, ys, cum, x, u):
@@ -353,25 +368,27 @@ class TestCircleCommand:
         code = main(["circle", "-n", "8", "-k", "2", "--verify"])
         assert code == 4
 
-    def test_verify_reaches_the_subset_table_cap(self, capsys):
+    def test_verify_counts_every_subset_and_move(self, capsys):
         code, out = run(capsys, ["circle", "-n", "13", "-k", "5", "--verify"])
         assert code == 0
         assert "arc_optimality n=13: pass (m=1..13, 8191 subsets)" in out
         assert "gap_fill_monotonicity n=13: pass (26611 moves)" in out
 
     @pytest.mark.parametrize("argv", [
-        ["-n", "14", "-k", "7", "--verify"],  # the ratio is closed-form, the checks are not
-        ["-n", "14", "-k", "5"],  # the ratio reads the table
+        ["-n", "19", "-k", "1", "--verify"],  # the ratio is closed-form, the checks are not
+        ["-n", "19", "-k", "5"],  # the ratio is the exact partition oracle's
     ])
     def test_over_the_subset_table_cap_exit_3(self, capsys, argv):
+        # subset tables share the one cap of the exact oracles
         assert main(["circle", *argv]) == 3
         err = capsys.readouterr().err
-        assert err == "capacity: subset tables are limited to 13 points, got 14\n"
+        assert err == "capacity: exact tours are limited to 18 points, got 19\n"
 
 
 class TestOneTablePerJob:
-    """An oracle job runs one whole-set DP, the table or the tour, and reads
-    OPT_1 from it."""
+    """An oracle job runs one whole-set DP, the table or the tour, for its
+    answer and reads OPT_1 from it; the circle checks build the circle's
+    table once more."""
 
     @staticmethod
     def kernel_calls(monkeypatch) -> list:
@@ -384,17 +401,42 @@ class TestOneTablePerJob:
             monkeypatch.setattr(kernels, name, counted)
         return calls
 
-    def test_circle_verify(self, capsys, monkeypatch):
-        # a fresh cache, so the job builds its table as from a cold start
+    @staticmethod
+    def whole_set_dps(calls, n) -> tuple[list, list]:
+        """The tables, and the tours over all ``n`` points, in ``calls``."""
+        tables = [m for name, m in calls if name == "cycle_lengths_by_subset"]
+        tours = [m for name, m in calls if name == "shortest_cycle" and m == n]
+        return tables, tours
+
+    @staticmethod
+    def cold_circle_tables(monkeypatch) -> None:
+        """A fresh cache, so a job builds the circle's table as from a cold
+        start: a warm one would hide a table the job reads."""
         cold = lru_cache(maxsize=None)(toursplit.circle._subset_values.__wrapped__)
         monkeypatch.setattr(toursplit.circle, "_subset_values", cold)
+
+    def test_circle_verify(self, capsys, monkeypatch):
+        self.cold_circle_tables(monkeypatch)
         calls = self.kernel_calls(monkeypatch)
         code, out = run(capsys, ["circle", "-n", "12", "-k", "5", "--verify"])
         assert code == 0 and "gap_fill_monotonicity n=12: pass" in out
-        assert [c for c in calls if c[0] == "cycle_lengths_by_subset"] == [
-            ("cycle_lengths_by_subset", 12)
-        ]
-        assert ("shortest_cycle", 12) not in calls
+        # the ratio is speedup_ratio's, and every check reads the one table
+        if kernels.LazySubsetTable is None:
+            # the compiled search reads a whole table of its own
+            assert self.whole_set_dps(calls, 12) == ([12, 12], [])
+        else:
+            assert self.whole_set_dps(calls, 12) == ([12], [12])
+
+    def test_circle_builds_no_table_without_verify(self, capsys, monkeypatch):
+        self.cold_circle_tables(monkeypatch)
+        calls = self.kernel_calls(monkeypatch)
+        code, out = run(capsys, ["circle", "-n", "12", "-k", "5"])
+        assert code == 0 and "gamma_circle" in out
+        if kernels.LazySubsetTable is None:
+            assert self.whole_set_dps(calls, 12) == ([12], [])
+        else:
+            # the pure search computes only the subset values it reads
+            assert self.whole_set_dps(calls, 12) == ([], [12])
 
     def test_exact_split(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"

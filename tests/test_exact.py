@@ -15,13 +15,14 @@ from helpers import (
 from toursplit import (
     CapacityError,
     Instance,
+    SolveResult,
     optimal_partition,
     optimal_tour,
     speedup_ratio,
     tour_values_by_subset,
 )
 from toursplit import _core_py, kernels
-from toursplit.exact import _partition_from_table
+from toursplit.exact import _blocks_solved
 
 SIN_PI_8 = math.sin(math.pi / 8)
 SIN_3PI_8 = math.sin(3 * math.pi / 8)
@@ -29,6 +30,12 @@ SIN_3PI_8 = math.sin(3 * math.pi / 8)
 
 def square_instance() -> Instance:
     return Instance.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def table_partition(inst: Instance, values: list[float], k: int) -> SolveResult:
+    """The optimal partition read from the whole subset table ``values``."""
+    _, labels = _core_py.min_max_partition(values, inst.n, min(k, inst.n))
+    return _blocks_solved(inst, labels)
 
 
 def circle_instance(n: int) -> Instance:
@@ -181,7 +188,7 @@ class TestOptimalPartition:
     def test_capacity_error_over_budget(self):
         rng = random.Random(8)
         with pytest.raises(CapacityError):
-            optimal_partition(random_instance(rng, 14), 2)
+            optimal_partition(random_instance(rng, 19), 2)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -216,13 +223,13 @@ class TestSubsetTable:
             assert last.hex() == _core_py.shortest_cycle(dist, inst.n)[0].hex(), inst.n
 
     def test_the_cap_is_checked_before_the_table_is_built(self, monkeypatch):
-        # the only check of MAX_PARTITION_POINTS, for every caller of the table
+        # the one cap of the exact oracles, MAX_EXACT_POINTS, covers the table
         def unexpected(dist, n):
             raise AssertionError("the subset table was built over the cap")
 
         monkeypatch.setattr(kernels, "cycle_lengths_by_subset", unexpected)
-        with pytest.raises(CapacityError, match="subset tables are limited to 13 points, got 14"):
-            tour_values_by_subset(random_instance(random.Random(13), 14))
+        with pytest.raises(CapacityError, match="exact tours are limited to 18 points, got 19"):
+            tour_values_by_subset(random_instance(random.Random(13), 19))
 
 
 class TestLazyPartitionWork:
@@ -260,7 +267,7 @@ class TestLazyPartitionWork:
                 assert not made
                 rows.append(len(table._rows))
                 assert rows[-1] < (1 << 13) // 2, k
-                assert result == _partition_from_table(inst, full, k)
+                assert result == table_partition(inst, full, k)
         assert sorted(rows)[len(rows) // 2] < (1 << 13) // 4, rows
 
     def test_one_block_and_singletons_need_no_search(self, monkeypatch):
@@ -307,8 +314,8 @@ class TestSpeedupRatio:
             raise AssertionError("the tour DP ran before the partition cap was checked")
 
         monkeypatch.setattr(kernels, "shortest_cycle", unexpected)
-        with pytest.raises(CapacityError, match="subset tables are limited"):
-            speedup_ratio(random_instance(random.Random(11), 14), 2)
+        with pytest.raises(CapacityError, match="exact tours are limited to 18 points, got 19"):
+            speedup_ratio(random_instance(random.Random(11), 19), 2)
 
     def test_always_in_unit_interval(self):
         # singleton-only partitions (k >= n) legitimately reach ratio 0

@@ -295,6 +295,48 @@ class TestLazyPartition:
                 result, _ = seeded_lazy_search(dist, 9, k)
                 assert result == _core_py.min_max_partition(full, 9, k)
 
+    def test_inputs_that_defeat_the_pruning_still_match(self):
+        # A seeded hill climb towards the inputs whose lazy search computes
+        # the most rows.  It finds a cluster with far outliers, where k = 2
+        # computes most of the table (97% on one 13-point set).  Every input
+        # it tries must give the whole table's result, and the worst one the
+        # result over an independently written table.
+        rng = random.Random(119)
+        n = 12
+
+        def rows(pts):
+            dist = flat_distances(pts)
+            full = _core_py.cycle_lengths_by_subset(dist, n)
+            most = 0
+            for k in (2, 3):
+                result, table = seeded_lazy_search(dist, n, k)
+                assert result == _core_py.min_max_partition(full, n, k), (pts, k)
+                most = max(most, len(table._rows))
+            return most
+
+        pts = random_points(rng, n)
+        start = most = rows(pts)
+        for _ in range(60):
+            moved = list(pts)
+            i = rng.randrange(n)
+            move = rng.random()
+            if move < 0.5:  # nudge a point
+                moved[i] = Point(pts[i].x + rng.gauss(0, 0.1), pts[i].y + rng.gauss(0, 0.1))
+            elif move < 0.8:  # throw it anywhere
+                moved[i] = Point(rng.random(), rng.random())
+            else:  # next to another point
+                near = pts[rng.randrange(n)]
+                moved[i] = Point(near.x + rng.gauss(0, 1e-3), near.y + rng.gauss(0, 1e-3))
+            if len(set(moved)) == n:
+                score = rows(moved)
+                if score >= most:
+                    pts, most = moved, score
+        assert most > 2 * start, (start, most)  # the climb found harder inputs
+        dist = flat_distances(pts)
+        naive = naive_cycle_lengths_by_subset(dist, n)
+        for k in range(1, n + 1):
+            assert seeded_lazy_search(dist, n, k)[0] == _core_py.min_max_partition(naive, n, k)
+
     def test_a_limit_at_the_minimum_finds_nothing(self):
         dist = flat_distances(random_points(random.Random(116), 6))
         full = _core_py.cycle_lengths_by_subset(dist, 6)
@@ -322,6 +364,26 @@ class TestLaneParity:
             dist = flat_distances(pts)
             table = compiled_core.cycle_lengths_by_subset(dist, n)
             for k in range(1, n + 2):
+                expected = compiled_core.min_max_partition(table, n, k)
+                assert seeded_lazy_search(dist, n, k)[0] == expected, (pts, k)
+
+    def test_exact_partitions_bit_identical_past_13_points(self, compiled_core):
+        # the pure lane's lazy search against the compiled whole-table search
+        rng = random.Random(108)
+        cases = [
+            random_points(rng, 14),
+            random_points(rng, 15),
+            random_points(rng, 16),
+            collinear(16),
+            grid(4, 4),
+            far_clusters(rng, 16),
+            circle_points(16).points,
+        ]
+        for pts in cases:
+            n = len(pts)
+            dist = flat_distances(pts)
+            table = compiled_core.cycle_lengths_by_subset(dist, n)
+            for k in range(2, 6):
                 expected = compiled_core.min_max_partition(table, n, k)
                 assert seeded_lazy_search(dist, n, k)[0] == expected, (pts, k)
 
@@ -369,7 +431,9 @@ def backend_of(env_value, preload=None, then=""):
     interpreter prints the selected lane, then runs the code in ``then``.
     """
     code = (
-        "import importlib.util, sys\n"
+        "import sys\n"
+        "preloaded = set(sys.modules)  # loaded before this script runs\n"
+        "import importlib.util\n"
         f"path = {preload!r}\n"
         "if path:\n"
         "    spec = importlib.util.spec_from_file_location('toursplit._core', path)\n"
@@ -405,11 +469,15 @@ class TestLaneSelection:
 
     @pytest.mark.parametrize("lane", ["compiled", "pure"])
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self, lane, request):
-        # importing them took about a fifth of a small CLI job's wall time
+        # importing them took about a fifth of a small CLI job's wall time;
+        # json and random are imported by the commands that use them.  A
+        # site hook may load a module before the script runs, and then the
+        # package cannot be blamed for it.
         preload = request.getfixturevalue("compiled_core").__file__ if lane == "compiled" else None
         then = (
             "import toursplit.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "unwanted = {'dataclasses', 'inspect', 'json', 'random'} - preloaded\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
         )
         proc = backend_of(lane, preload=preload, then=then)
         assert proc.returncode == 0, proc.stderr
