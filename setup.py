@@ -1,15 +1,12 @@
 """Build script for the optional compiled solver core.
 
-The extension is compiled from the generated C source that ships with the
-package, so a C compiler is the only build requirement:
+The extension is compiled from its hand-written C source,
+``src/toursplit/_core.c``, so a C compiler is the only build requirement:
 
     python setup.py build_ext --inplace
 
 Without a compiler the build warns and the package falls back to the pure
-Python kernels at import.  Cython is needed only to regenerate the C source
-after editing the ``.pyx`` file (the test suite fails while the two differ):
-
-    cython src/toursplit/_core.pyx
+Python kernels at import.
 """
 
 from setuptools import Extension, setup

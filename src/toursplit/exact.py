@@ -171,10 +171,16 @@ def _ratio(best: SolveResult, whole: float) -> float:
     return best.value / whole
 
 
-def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
+def _exact_partition(
+    instance: Instance,
+    k: int,
+    subset_values: Callable[[Instance], list[float]] = tour_values_by_subset,
+) -> tuple[float, SolveResult]:
     """OPT_1 and the optimal partition into at most ``k`` blocks.
 
-    The compiled lane reads both from the whole subset table.  The pure lane
+    The compiled lane reads both from the whole subset table,
+    ``subset_values(instance)``; a caller that already holds the table
+    passes a function that returns it.  The pure lane
     takes OPT_1 from the tour DP, the same float as the table's last entry
     (the table anchors the whole set at point 0 and gives each cell the
     tour DP's sums), and searches a ``LazySubsetTable`` from a limit just
@@ -185,7 +191,7 @@ def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
     n = instance.n
     k = min(k, n)
     if kernels.LazySubsetTable is None:
-        values = tour_values_by_subset(instance)
+        values = subset_values(instance)
         _, labels = kernels.min_max_partition(values, n, k)
         return values[-1], _blocks_solved(instance, labels)
     dist, (whole, order) = _solved(instance, kernels.shortest_cycle, 0)

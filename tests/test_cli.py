@@ -387,8 +387,8 @@ class TestCircleCommand:
 
 class TestOneTablePerJob:
     """An oracle job runs one whole-set DP, the table or the tour, for its
-    answer and reads OPT_1 from it; the circle checks build the circle's
-    table once more."""
+    answer and reads OPT_1 from it; the circle checks read the circle's
+    table, which the compiled lane's ratio search shares."""
 
     @staticmethod
     def kernel_calls(monkeypatch) -> list:
@@ -422,8 +422,8 @@ class TestOneTablePerJob:
         assert code == 0 and "gap_fill_monotonicity n=12: pass" in out
         # the ratio is speedup_ratio's, and every check reads the one table
         if kernels.LazySubsetTable is None:
-            # the compiled search reads a whole table of its own
-            assert self.whole_set_dps(calls, 12) == ([12, 12], [])
+            # the compiled search reads the checks' table
+            assert self.whole_set_dps(calls, 12) == ([12], [])
         else:
             assert self.whole_set_dps(calls, 12) == ([12], [12])
 

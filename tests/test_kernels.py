@@ -4,7 +4,6 @@ import itertools
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -216,10 +215,26 @@ class TestPureLane:
         assert table[-1] == math.inf
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            _core_py.shortest_cycle([], 0)
-        with pytest.raises(ValueError):
-            _core_py.min_max_partition([0.0, 0.0], 1, 0)
+        assert_rejects_bad_sizes(_core_py)
+
+
+def assert_rejects_bad_sizes(core):
+    """Sizes out of range raise ValueError, and sizes that are not ints
+    TypeError, before any table is built."""
+    for kernel in (core.shortest_cycle, core.cycle_lengths_by_subset):
+        with pytest.raises(ValueError, match="need at least one point"):
+            kernel([], 0)
+        with pytest.raises(ValueError, match="memory budget"):
+            kernel([0.0] * 625, 25)
+        with pytest.raises(TypeError):
+            kernel([0.0] * 4, 2.0)
+    with pytest.raises(ValueError, match="need at least one point"):
+        core.min_max_partition([0.0], 0, 1)
+    with pytest.raises(ValueError, match="need at least one block"):
+        core.min_max_partition([0.0, 0.0], 1, 0)
+    for n, k in ((2.0, 1), (2, 1.0)):
+        with pytest.raises(TypeError):
+            core.min_max_partition([0.0] * 4, n, k)
 
 
 def far_clusters(rng: random.Random, n: int) -> list[Point]:
@@ -388,17 +403,28 @@ class TestLaneParity:
                 assert seeded_lazy_search(dist, n, k)[0] == expected, (pts, k)
 
     def test_backends_bit_identical(self, compiled_core):
-        for pts in self.inputs():
+        # repr tells -0.0 from 0.0 and prints every float exactly; the
+        # collinear, grid and far-cluster sets are full of exact ties
+        rng = random.Random(117)
+        ties = [collinear(n) for n in (3, 7, 12)]
+        ties += [grid(2, 5), grid(3, 4), shuffled_lattice(rng, 13, 4)]
+        ties += [far_clusters(rng, n) for n in (5, 9, 13)]
+        for pts in [*self.inputs(), *ties]:
             n = len(pts)
             dist = flat_distances(pts)
-            assert compiled_core.shortest_cycle(dist, n) == _core_py.shortest_cycle(dist, n)
+            assert repr(compiled_core.shortest_cycle(dist, n)) == repr(
+                _core_py.shortest_cycle(dist, n)
+            ), pts
             table_c = compiled_core.cycle_lengths_by_subset(dist, n)
             table_py = _core_py.cycle_lengths_by_subset(dist, n)
-            assert table_c == table_py
+            assert repr(table_c) == repr(table_py), pts
             for k in range(1, n + 1):
-                assert compiled_core.min_max_partition(
-                    table_c, n, k
-                ) == _core_py.min_max_partition(table_py, n, k)
+                assert repr(compiled_core.min_max_partition(table_c, n, k)) == repr(
+                    _core_py.min_max_partition(table_py, n, k)
+                ), (pts, k)
+
+    def test_compiled_lane_rejects_bad_sizes(self, compiled_core):
+        assert_rejects_bad_sizes(compiled_core)
 
     def test_shortest_cycle_bit_identical_at_the_tour_cap(self, compiled_core):
         rng = random.Random(107)
@@ -483,53 +509,26 @@ class TestLaneSelection:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [lane, "[]"]
 
-
-MARKER = "             # <<<<<<<<<<<<<<"
-CLOSER_ESCAPE = "*[inserted by cython to avoid comment closer]/"
-OPENER_ESCAPE = "/[inserted by cython to avoid comment start]*"
-
-
-def quoted_pyx_lines(c_text):
-    """(line number, text) for every .pyx line Cython quoted into the C file.
-
-    Each quote opens with ``/* "toursplit/_core.pyx":NN``, lists source lines
-    NN-2 .. NN+2 prefixed with " * ", marks line NN with a trailing
-    ``# <<<<<<<<<<<<<<`` and closes with ``*/``.
-    """
-    lines = c_text.splitlines()
-    header = re.compile(r'/\* "toursplit/_core\.pyx":(\d+)$')
-    quoted = []
-    for i, line in enumerate(lines):
-        m = header.search(line)
-        if not m:
-            continue
-        body = []
-        for raw in lines[i + 1 :]:
-            if raw == "*/":
-                break
-            body.append(raw[3:])
-        marked = [j for j, text in enumerate(body) if text.endswith(MARKER)]
-        assert len(marked) == 1, f"C line {i + 1}: expected one marked line"
-        first = int(m.group(1)) - marked[0]
-        for j, text in enumerate(body):
-            text = text[: -len(MARKER)] if j == marked[0] else text
-            text = text.replace(CLOSER_ESCAPE, "*/").replace(OPENER_ESCAPE, "/*")
-            quoted.append((first + j, text.rstrip()))
-    return quoted
-
-
-def test_generated_c_matches_pyx():
-    """The shipped _core.c was generated from the current _core.pyx.
-
-    Regenerate it with ``cython src/toursplit/_core.pyx`` after editing the
-    .pyx file.
-    """
-    pyx = (SRC / "toursplit" / "_core.pyx").read_text().splitlines()
-    quoted = quoted_pyx_lines((SRC / "toursplit" / "_core.c").read_text())
-    assert len(quoted) > len(pyx)
-    stale = [
-        (number, text)
-        for number, text in quoted
-        if number > len(pyx) or pyx[number - 1].rstrip() != text
-    ]
-    assert not stale, f"_core.c is stale against _core.pyx, e.g. line {stale[0]}"
+    @pytest.mark.parametrize("lane", ["compiled", "pure"])
+    def test_short_inputs_raise_index_error(self, lane, request):
+        # a list shorter than n * n distances, or 2^n values, must raise, not
+        # be read past its end; a child interpreter turns a crash into a
+        # failure of this test instead of the whole run
+        preload = request.getfixturevalue("compiled_core").__file__ if lane == "compiled" else None
+        then = (
+            "from toursplit import kernels\n"
+            "for call in ('shortest_cycle([0.0], 2)', 'cycle_lengths_by_subset([0.0], 2)',\n"
+            "             'min_max_partition([0.0], 2, 1)'):\n"
+            "    try:\n"
+            "        print(call, eval('kernels.' + call))\n"
+            "    except IndexError:\n"
+            "        print(call, 'IndexError')\n"
+        )
+        proc = backend_of(lane, preload=preload, then=then)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            lane,
+            "shortest_cycle([0.0], 2) IndexError",
+            "cycle_lengths_by_subset([0.0], 2) IndexError",
+            "min_max_partition([0.0], 2, 1) IndexError",
+        ]
