@@ -7,14 +7,15 @@
 #include <Python.h>
 #include <math.h>
 
-/* Largest n whose 2^n * n table the kernels allocate. */
+/* Largest n whose path table the kernels allocate. */
 #define MAX_POINTS 24
 
 PyDoc_STRVAR(module_doc,
 "Compiled solver kernels.\n\
 \n\
-Mirrors ``_core_py`` loop for loop (same iteration order, same strict\n\
-comparisons) so both lanes return bit-identical results.");
+Runs the dynamic programs of ``_core_py`` over whole tables, each cell\n\
+taking its candidates in the same order under the same strict comparison,\n\
+so both lanes return bit-identical results, ties included.");
 
 /* A new array of seq[0 .. size) as doubles, or NULL with an exception set.
  * An exact list is read in place within its length; anything else, and an
@@ -85,53 +86,86 @@ check_points(int n)
     return 0;
 }
 
-/* The Held-Karp tour table over masks holding point 0: dp[mask * n + last]
- * is the shortest path from 0 through mask ending at last, and parent the
- * point before last on it (-1 for none). */
+/* The Held-Karp path table.  dp[row * n + last] is the shortest path from
+ * the mask's lowest point (its anchor) through the mask, ending at last;
+ * a mask's cells read only masks that keep its anchor.  With `tour` set
+ * only the masks holding point 0 are filled, mask at row mask >> 1;
+ * otherwise every mask, at row mask.  A cell takes its candidates prev
+ * rising under a strict comparison from INF.  If asked, vals[mask] is the
+ * mask's closed tour and parent[cell] the winning prev + 1 (0 for none). */
 static void
-fill_tour_table(const double *d, int n, double *dp, int *parent)
+fill_paths(const double *d, int n, int tour, double *dp, double *vals,
+           unsigned char *parent)
 {
-    Py_ssize_t full = (Py_ssize_t)1 << n;
-    for (Py_ssize_t idx = 0; idx < full * n; idx++) {
+    Py_ssize_t full = (Py_ssize_t)1 << n, cells = (full >> tour) * n;
+    int members[MAX_POINTS];
+    for (Py_ssize_t idx = 0; idx < cells; idx++) {
         dp[idx] = INFINITY;
-        parent[idx] = -1;
     }
-    dp[n] = 0.0;
-    for (Py_ssize_t mask = 1; mask < full; mask++) {
-        if (!(mask & 1)) {
+    if (parent != NULL) {
+        memset(parent, 0, cells);
+    }
+    if (vals != NULL) {
+        vals[0] = 0.0;
+    }
+    for (Py_ssize_t mask = 1; mask < full; mask += 1 + tour) {
+        int nm = 0;
+        for (int i = 0; i < n; i++) {
+            if ((mask >> i) & 1) {
+                members[nm++] = i;
+            }
+        }
+        int anchor = members[0];
+        Py_ssize_t base = (mask >> tour) * n;
+        if (nm == 1) {
+            dp[base + anchor] = 0.0;
+            if (vals != NULL) {
+                vals[mask] = 0.0;
+            }
             continue;
         }
-        Py_ssize_t base = mask * n;
-        for (int last = 0; last < n; last++) {
-            double cur = dp[base + last];
-            if (cur == INFINITY) {
-                continue;
-            }
-            for (int j = 1; j < n; j++) {
-                if (mask & ((Py_ssize_t)1 << j)) {
+        double best = INFINITY;
+        for (int i = 1; i < nm; i++) {
+            int last = members[i];
+            Py_ssize_t pbase = ((mask ^ ((Py_ssize_t)1 << last)) >> tour) * n;
+            double cur = INFINITY;
+            int won = -1;
+            for (int j = 0; j < nm; j++) {
+                int prev = members[j];
+                if (prev == last) {
                     continue;
                 }
-                Py_ssize_t idx = (mask | ((Py_ssize_t)1 << j)) * n + j;
-                double cand = cur + d[last * n + j];
-                if (cand < dp[idx]) {
-                    dp[idx] = cand;
-                    parent[idx] = last;
+                double cand = dp[pbase + prev] + d[prev * n + last];
+                if (cand < cur) {
+                    cur = cand;
+                    won = prev;
                 }
             }
+            dp[base + last] = cur;
+            if (parent != NULL) {
+                parent[base + last] = (unsigned char)(won + 1);
+            }
+            double closed = cur + d[last * n + anchor];
+            if (closed < best) {
+                best = closed;
+            }
+        }
+        if (vals != NULL) {
+            vals[mask] = best;
         }
     }
 }
 
-/* (best, order): the closing scan over the full mask, then the parent walk
- * from its winner back to 0, reversed. */
+/* (best, order): the closing scan over the full mask's row of the tour
+ * table, then the parent walk from its winner back to 0, reversed. */
 static PyObject *
-closed_tour(const double *d, int n, const double *dp, const int *parent)
+closed_tour(const double *d, int n, const double *dp, const unsigned char *parent)
 {
     Py_ssize_t full = (Py_ssize_t)1 << n;
     double best = INFINITY;
     int best_last = -1;
     for (int j = 1; j < n; j++) {
-        double cand = dp[(full - 1) * n + j] + d[j * n];
+        double cand = dp[((full - 1) >> 1) * n + j] + d[j * n];
         if (cand < best) {
             best = cand;
             best_last = j;
@@ -142,7 +176,7 @@ closed_tour(const double *d, int n, const double *dp, const int *parent)
     int last = best_last;
     while (last != -1) {
         order[--start] = last;
-        int prev = parent[mask * n + last];
+        int prev = parent[(mask >> 1) * n + last] - 1;
         mask ^= (Py_ssize_t)1 << last;
         last = prev;
     }
@@ -170,81 +204,25 @@ shortest_cycle(PyObject *self, PyObject *args, PyObject *kwargs)
     if (n == 1) {
         return Py_BuildValue("(d[i])", 0.0, 0);
     }
-    Py_ssize_t cells = ((Py_ssize_t)1 << n) * n;
+    Py_ssize_t cells = ((Py_ssize_t)1 << n >> 1) * n;
     double *d = read_doubles(dist, (Py_ssize_t)n * n);
     if (d == NULL) {
         return NULL;
     }
     double *dp = PyMem_New(double, cells);
-    int *parent = PyMem_New(int, cells);
+    unsigned char *parent = PyMem_New(unsigned char, cells);
     PyObject *result = NULL;
     if (dp == NULL || parent == NULL) {
         PyErr_NoMemory();
     }
     else {
-        fill_tour_table(d, n, dp, parent);
+        fill_paths(d, n, 1, dp, NULL, parent);
         result = closed_tour(d, n, dp, parent);
     }
     PyMem_Free(d);
     PyMem_Free(dp);
     PyMem_Free(parent);
     return result;
-}
-
-/* vals[mask]: the optimal tour length of every subset, by a path DP from
- * each mask's lowest point (its anchor); dp is the full 2^n * n path table. */
-static void
-fill_subset_table(const double *d, int n, double *dp, double *vals)
-{
-    Py_ssize_t full = (Py_ssize_t)1 << n;
-    int members[MAX_POINTS];
-    for (Py_ssize_t idx = 0; idx < full * n; idx++) {
-        dp[idx] = INFINITY;
-    }
-    vals[0] = 0.0;
-    for (Py_ssize_t mask = 1; mask < full; mask++) {
-        int anchor = 0;
-        while (!((mask >> anchor) & 1)) {
-            anchor++;
-        }
-        if (mask == ((Py_ssize_t)1 << anchor)) {
-            dp[mask * n + anchor] = 0.0;
-            vals[mask] = 0.0;
-            continue;
-        }
-        int nm = 0;
-        for (int i = 0; i < n; i++) {
-            if ((mask >> i) & 1) {
-                members[nm++] = i;
-            }
-        }
-        Py_ssize_t base = mask * n;
-        double best = INFINITY;
-        for (int i = 0; i < nm; i++) {
-            int last = members[i];
-            if (last == anchor) {
-                continue;
-            }
-            Py_ssize_t pbase = (mask ^ ((Py_ssize_t)1 << last)) * n;
-            double cur = INFINITY;
-            for (int j = 0; j < nm; j++) {
-                int prev = members[j];
-                if (prev == last) {
-                    continue;
-                }
-                double cand = dp[pbase + prev] + d[prev * n + last];
-                if (cand < cur) {
-                    cur = cand;
-                }
-            }
-            dp[base + last] = cur;
-            double closed = cur + d[last * n + anchor];
-            if (closed < best) {
-                best = closed;
-            }
-        }
-        vals[mask] = best;
-    }
 }
 
 PyDoc_STRVAR(cycle_lengths_by_subset_doc,
@@ -276,7 +254,7 @@ cycle_lengths_by_subset(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_NoMemory();
     }
     else {
-        fill_subset_table(d, n, dp, vals);
+        fill_paths(d, n, 0, dp, vals, NULL);
         result = PyList_New(full);
         for (Py_ssize_t mask = 0; result != NULL && mask < full; mask++) {
             PyObject *value = PyFloat_FromDouble(vals[mask]);
@@ -370,7 +348,7 @@ min_max_partition(PyObject *self, PyObject *args, PyObject *kwargs)
     descend(&s, 0, 0, 0.0);
     PyMem_Free(table);
     if (s.best_labels[0] < 0) {
-        PyErr_SetString(PyExc_RuntimeError, "partition search found no assignment");
+        PyErr_SetString(PyExc_ValueError, "no partition lies below the limit");
         return NULL;
     }
     return Py_BuildValue("(dN)", s.best_value, int_list(s.best_labels, n));

@@ -36,13 +36,14 @@ The pure tour table holds a row only while it is needed.  Masks hold point
 by last point, is made when the mask first receives a finite value and is
 dropped once the mask has been expanded, so a run holds only the rows of
 masks reached and not yet expanded.  Each cell's parent, last + 1 (0 for
-none), sits in one zero-filled bytearray of 2^(n-1)·n bytes.  A cell
+none), sits in one zero-filled bytearray of 2^(n-1)·n bytes.  The
+compiled lane keeps every row, in the same layout.  A cell
 (mask | 1 << j, j) hears only from its one source, mask, and the compiled
-lane gives it mask's candidates last rising under a strict comparison
-from INF.  So the pure lane takes them all at once when mask is expanded,
-in the same order: the first strict minimum is the value and parent the
-compiled lane leaves, and a cell with no finite candidate stays INF with
-no parent in both.
+lane pulls mask's candidates into it, last rising, under a strict
+comparison from INF.  So the pure lane pushes them all at once when mask
+is expanded, in the same order: the first strict minimum is the value and
+parent the compiled lane leaves, and a cell with no finite candidate stays
+INF with no parent in both.
 
 The pure subset table skips the candidates that are always INF: a path
 that ends at its mask's anchor exists only in the anchor's singleton, so

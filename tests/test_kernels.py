@@ -217,6 +217,9 @@ class TestPureLane:
     def test_rejects_bad_sizes(self):
         assert_rejects_bad_sizes(_core_py)
 
+    def test_no_finite_partition_raises_value_error(self):
+        assert_no_finite_partition_raises(_core_py)
+
 
 def assert_rejects_bad_sizes(core):
     """Sizes out of range raise ValueError, and sizes that are not ints
@@ -235,6 +238,13 @@ def assert_rejects_bad_sizes(core):
     for n, k in ((2.0, 1), (2, 1.0)):
         with pytest.raises(TypeError):
             core.min_max_partition([0.0] * 4, n, k)
+
+
+def assert_no_finite_partition_raises(core):
+    """A table with no finite partition raises the same ValueError on both
+    lanes."""
+    with pytest.raises(ValueError, match="no partition lies below the limit"):
+        core.min_max_partition([math.inf] * 4, 2, 1)
 
 
 def far_clusters(rng: random.Random, n: int) -> list[Point]:
@@ -426,6 +436,21 @@ class TestLaneParity:
     def test_compiled_lane_rejects_bad_sizes(self, compiled_core):
         assert_rejects_bad_sizes(compiled_core)
 
+    def test_compiled_lane_no_finite_partition_raises_value_error(self, compiled_core):
+        assert_no_finite_partition_raises(compiled_core)
+
+    def test_shortest_cycle_keeps_half_the_masks_and_a_parent_byte(self, compiled_core):
+        # rows only for the masks holding point 0, 8-byte values and 1-byte
+        # parents: 2^15 * 16 * 9 bytes at n = 16
+        dist = flat_distances(random_points(random.Random(118), 16))
+        tracemalloc.start()
+        try:
+            compiled_core.shortest_cycle(dist, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**15 * 16 * 9 + 65_536
+
     def test_shortest_cycle_bit_identical_at_the_tour_cap(self, compiled_core):
         rng = random.Random(107)
         cases = [
@@ -439,11 +464,18 @@ class TestLaneParity:
             # weak bounds: most masks are reached and many rows live at once
             random_points(rng, 8) + [Point(p.x + 1e3, p.y) for p in random_points(rng, 8)],
             rng.sample(collinear(16), 16),
+            # exact ties, where the parent tie-breaking decides the tour
+            circle_points(18).points,
+            rng.sample(grid(4, 5), 18),
+            far_clusters(rng, 18),
+            collinear(17),
         ]
         for pts in cases:
             dist = flat_distances(pts)
             n = len(pts)
-            assert compiled_core.shortest_cycle(dist, n) == _core_py.shortest_cycle(dist, n)
+            assert repr(compiled_core.shortest_cycle(dist, n)) == repr(
+                _core_py.shortest_cycle(dist, n)
+            ), pts
         dist = flat_distances(overflowing_points(rng, 10))
         assert compiled_core.shortest_cycle(dist, 10) == (math.inf, [])
         assert _core_py.shortest_cycle(dist, 10) == (math.inf, [])
