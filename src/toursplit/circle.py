@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .exact import Instance, _exact_partition, _ratio, tour_values_by_subset
+from .exact import Instance, _capped, _exact_partition, _ratio, tour_values_by_subset
 from .geometry import Point
 
 # How far a subset may beat its arc, or a gap fill raise a tour value,
@@ -59,7 +59,7 @@ def circle_limit_ratio(k: int) -> float:
 @lru_cache(maxsize=None)
 def _subset_values(n: int) -> list[float]:
     """The n-circle's subset table, shared by the exhaustive checks."""
-    return tour_values_by_subset(circle_points(n))
+    return tour_values_by_subset(circle_points(_capped(n)))
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +164,9 @@ def circle_ratio(n: int, k: int) -> float:
     """k-way speedup ratio of the regular n-point circle.
 
     Uses the balanced-arc closed form when k divides n, otherwise the
-    exhaustive partition oracle, as ``speedup_ratio`` runs it.  There the
-    compiled lane's search reads the circle's table that the exhaustive
-    checks share, so ``circle --verify`` builds it once.
+    exhaustive partition oracle, capped before any point is built.  There the
+    compiled search reads the circle's table that the exhaustive checks
+    share, so ``circle --verify`` builds it once.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -174,5 +174,5 @@ def circle_ratio(n: int, k: int) -> float:
         raise ValueError(f"need at least 2 circle points, got {n}")
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
-    whole, best = _exact_partition(circle_points(n), k, lambda _: _subset_values(n))
+    whole, best = _exact_partition(circle_points(_capped(n)), k, lambda _: _subset_values(n))
     return _ratio(best, whole)

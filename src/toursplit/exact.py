@@ -114,6 +114,13 @@ class SolveResult(NamedTuple):
     diagonals: tuple[Diagonal, ...] = ()
 
 
+def _capped(n: int) -> int:
+    """``n``, after the one cap check of the exact oracles."""
+    if n > MAX_EXACT_POINTS:
+        raise CapacityError(f"exact tours are limited to {MAX_EXACT_POINTS} points, got {n}")
+    return n
+
+
 def _solved(
     instance: Instance, kernel: Callable[[list[float], int], Sequence], whole_at: int
 ) -> tuple[list[float], Sequence]:
@@ -123,11 +130,7 @@ def _solved(
     raises ValueError when that overflows.  No subset's tour is longer, so
     when it is finite so is every tour value an exact oracle returns.
     """
-    n = instance.n
-    if n > MAX_EXACT_POINTS:
-        raise CapacityError(
-            f"exact tours are limited to {MAX_EXACT_POINTS} points, got {n}"
-        )
+    n = _capped(instance.n)
     dist = instance.distance_matrix()
     result = kernel(dist, n)
     if not math.isfinite(result[whole_at]):
@@ -178,19 +181,21 @@ def _exact_partition(
 ) -> tuple[float, SolveResult]:
     """OPT_1 and the optimal partition into at most ``k`` blocks.
 
-    The compiled lane reads both from the whole subset table,
-    ``subset_values(instance)``; a caller that already holds the table
-    passes a function that returns it.  The pure lane
-    takes OPT_1 from the tour DP, the same float as the table's last entry
-    (the table anchors the whole set at point 0 and gives each cell the
-    tour DP's sums), and searches a ``LazySubsetTable`` from a limit just
-    above a cut of the optimal tour, so it computes only the subset values
-    the search reads.  One block (k = 1) and singletons (k >= n, the only
-    partition of value 0) need no search.
+    The one dispatch of every exact partition.  One block (k = 1) and
+    singletons (k >= n, the only partition of value 0) need no search: both
+    lanes take them, and OPT_1, from the tour DP.  For 1 < k < n the compiled
+    lane reads both from the whole subset table, ``subset_values(instance)``
+    (a caller that already holds it passes a function that returns it),
+    whose last entry is the tour DP's float: the table anchors the whole set
+    at point 0 and gives each cell the tour DP's sums.  The pure lane
+    searches a ``LazySubsetTable`` from a limit just above a cut of the
+    optimal tour, so it computes only the subset values the search reads.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = instance.n
     k = min(k, n)
-    if kernels.LazySubsetTable is None:
+    if 1 < k < n and kernels.BACKEND == "compiled":
         values = subset_values(instance)
         _, labels = kernels.min_max_partition(values, n, k)
         return values[-1], _blocks_solved(instance, labels)
@@ -213,14 +218,10 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
     tour value per subset, and the pure lane computes only the values it
     reads.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     return _exact_partition(instance, k)[1]
 
 
 def speedup_ratio(instance: Instance, k: int) -> float:
-    """Best-possible k-way time divided by the single-tour optimum, in (0, 1]."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    """Best-possible k-way time over the single-tour optimum, in [0, 1]; 0 once k >= n."""
     whole, best = _exact_partition(instance, k)
     return _ratio(best, whole)

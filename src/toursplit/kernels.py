@@ -36,9 +36,7 @@ min_max_partition = _impl.min_max_partition
 
 # The pure partition search reads a table that computes each subset's value
 # on first read, from a seeded limit; the compiled search copies a whole
-# table into C, so that lane has neither.
+# table into C, so only the pure lane exports these two.
 if BACKEND == "pure":
     LazySubsetTable = _impl.LazySubsetTable
     partition_limit = _impl.partition_limit
-else:
-    LazySubsetTable = partition_limit = None

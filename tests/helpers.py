@@ -6,7 +6,8 @@ search that locates every breakpoint by bisection, guaranteed splitting
 as a recursion over ClosedTours, the Held-Karp tour DP over the full
 ``2^n * n`` table, the subset-table DP trying every predecessor, the
 split-plan search building every sum and product candidate) so they stay
-independent of the library's solver paths.
+independent of the library's solver paths.  ``use_lane`` switches the
+kernels module between lanes inside one test run.
 """
 
 from __future__ import annotations
@@ -30,8 +31,21 @@ from toursplit import (
     min_width,
     split_plan,
 )
+from toursplit import _core_py, kernels
 from toursplit.geometry import _unit_scale
 from toursplit.splitting import PlanNode, _combine
+
+
+def use_lane(monkeypatch, impl) -> None:
+    """Point the kernels module at ``impl``, the compiled module or
+    ``_core_py``, as if its lane had been selected at import."""
+    lane = "pure" if impl is _core_py else "compiled"
+    monkeypatch.setattr(kernels, "BACKEND", lane)
+    names = ["shortest_cycle", "cycle_lengths_by_subset", "min_max_partition"]
+    if lane == "pure":
+        names += ["LazySubsetTable", "partition_limit"]
+    for name in names:
+        monkeypatch.setattr(kernels, name, getattr(impl, name), raising=False)
 
 
 def dist(a, b) -> float:

@@ -176,6 +176,8 @@ class TestCircleRatio:
         assert circle_ratio(7, 2) == pytest.approx(
             speedup_ratio(circle_points(7), 2), abs=1e-12
         )
+        # more salespeople than points: each point tours alone
+        assert circle_ratio(2, 3) == 0.0
 
     def test_increasing_in_n_and_below_the_limit(self):
         for k in (2, 3, 4):

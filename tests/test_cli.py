@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import toursplit.circle
-from helpers import plan_depth
+from helpers import plan_depth, use_lane
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
 from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, kernels, split_plan
+from toursplit import _core_py
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -384,6 +385,20 @@ class TestCircleCommand:
         err = capsys.readouterr().err
         assert err == "capacity: exact tours are limited to 18 points, got 19\n"
 
+    @pytest.mark.parametrize("argv", [["-k", "3"], ["-k", "1", "--verify"]])
+    def test_over_the_cap_no_circle_point_is_built(self, capsys, monkeypatch, argv):
+        # a billion points would take gigabytes before the cap check
+        build = toursplit.circle.circle_points
+
+        def capped_build(n):
+            assert n <= 18, f"built the {n}-point circle"
+            return build(n)
+
+        monkeypatch.setattr(toursplit.circle, "circle_points", capped_build)
+        assert main(["circle", "-n", "1000000000", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err == "capacity: exact tours are limited to 18 points, got 1000000000\n"
+
 
 class TestOneTablePerJob:
     """An oracle job runs one whole-set DP, the table or the tour, for its
@@ -421,7 +436,7 @@ class TestOneTablePerJob:
         code, out = run(capsys, ["circle", "-n", "12", "-k", "5", "--verify"])
         assert code == 0 and "gap_fill_monotonicity n=12: pass" in out
         # the ratio is speedup_ratio's, and every check reads the one table
-        if kernels.LazySubsetTable is None:
+        if kernels.BACKEND == "compiled":
             # the compiled search reads the checks' table
             assert self.whole_set_dps(calls, 12) == ([12], [])
         else:
@@ -432,7 +447,7 @@ class TestOneTablePerJob:
         calls = self.kernel_calls(monkeypatch)
         code, out = run(capsys, ["circle", "-n", "12", "-k", "5"])
         assert code == 0 and "gamma_circle" in out
-        if kernels.LazySubsetTable is None:
+        if kernels.BACKEND == "compiled":
             assert self.whole_set_dps(calls, 12) == ([12], [])
         else:
             # the pure search computes only the subset values it reads
@@ -449,13 +464,30 @@ class TestOneTablePerJob:
         resolved = [len(b["points"]) for b in doc["blocks"] if len(b["points"]) > 1]
         tours = [c[1] for c in calls if c[0] == "shortest_cycle"]
         tables = [c[1] for c in calls if c[0] == "cycle_lengths_by_subset"]
-        if kernels.LazySubsetTable is None:
+        if kernels.BACKEND == "compiled":
             # the compiled search copies the whole table into C
             assert (tables, tours) == ([13], resolved)
         else:
             # the pure search computes the subset values it reads, and OPT_1
             # comes from the tour DP
             assert (tables, tours) == ([], [13] + resolved)
+
+    def test_trivial_exact_splits_match_across_lanes(self, tmp_path, capsys, monkeypatch,
+                                                     compiled_core):
+        # one block and singletons come from the tour DP on both lanes
+        path = tmp_path / "g.txt"
+        assert main(["gen", "-n", "16", "--seed", "5", "--out", str(path)]) == 0
+        docs = {}
+        for impl in (compiled_core, _core_py):
+            use_lane(monkeypatch, impl)
+            calls = self.kernel_calls(monkeypatch)
+            for k in ("1", "20"):
+                argv = ["split", str(path), "-k", k, "--strategy", "exact"]
+                docs[kernels.BACKEND, k] = run(capsys, argv)
+            assert [m for name, m in calls if name == "cycle_lengths_by_subset"] == []
+        for k in ("1", "20"):
+            assert docs["compiled", k][0] == 0
+            assert docs["compiled", k] == docs["pure", k], k
 
 
 class TestGen:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -11,6 +12,7 @@ from helpers import (
     random_instance,
     random_points,
     tour_self_intersects,
+    use_lane,
 )
 from toursplit import (
     CapacityError,
@@ -21,7 +23,8 @@ from toursplit import (
     speedup_ratio,
     tour_values_by_subset,
 )
-from toursplit import _core_py, kernels
+import toursplit.circle
+from toursplit import _core_py, circle_ratio, kernels
 from toursplit.exact import _blocks_solved
 
 SIN_PI_8 = math.sin(math.pi / 8)
@@ -191,8 +194,11 @@ class TestOptimalPartition:
             optimal_partition(random_instance(rng, 19), 2)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            optimal_partition(square_instance(), 0)
+        # k is checked before the cap
+        for inst in (square_instance(), random_instance(random.Random(120), 19)):
+            for call in (optimal_partition, speedup_ratio):
+                with pytest.raises(ValueError, match="k must be at least 1"):
+                    call(inst, 0)
 
 
 class TestSubsetTable:
@@ -237,7 +243,7 @@ class TestLazyPartitionWork:
 
     @staticmethod
     def lazy_tables(monkeypatch) -> list:
-        # the pure search on either lane, recording the tables it reads
+        # the pure lane whichever lane was selected, recording the tables it reads
         made = []
 
         class Recorded(_core_py.LazySubsetTable):
@@ -245,9 +251,8 @@ class TestLazyPartitionWork:
                 super().__init__(dist, n)
                 made.append(self)
 
+        use_lane(monkeypatch, _core_py)
         monkeypatch.setattr(kernels, "LazySubsetTable", Recorded)
-        monkeypatch.setattr(kernels, "partition_limit", _core_py.partition_limit)
-        monkeypatch.setattr(kernels, "min_max_partition", _core_py.min_max_partition)
         return made
 
     def test_uniform_13_points_compute_few_rows(self, monkeypatch):
@@ -284,6 +289,34 @@ class TestLazyPartitionWork:
             blocks = optimal_partition(inst, k).partition.blocks
             assert blocks == tuple((p,) for p in inst.points)
         assert made == []
+
+
+class TestOneDispatch:
+    """Every exact partition goes through one dispatch, which answers one
+    block and singletons from the tour DP on both lanes."""
+
+    @pytest.mark.parametrize("lane", ["compiled", "pure"])
+    def test_trivial_splits_build_no_table(self, lane, monkeypatch, request):
+        impl = request.getfixturevalue("compiled_core") if lane == "compiled" else _core_py
+        use_lane(monkeypatch, impl)
+        tables = []
+        build = kernels.cycle_lengths_by_subset
+        monkeypatch.setattr(
+            kernels, "cycle_lengths_by_subset", lambda d, n: tables.append(n) or build(d, n)
+        )
+        # a cold circle cache, so a table the ratio reads is built and counted
+        cold = lru_cache(maxsize=None)(toursplit.circle._subset_values.__wrapped__)
+        monkeypatch.setattr(toursplit.circle, "_subset_values", cold)
+        inst = random_instance(random.Random(119), 9)
+        assert optimal_partition(inst, 1).partition.blocks == (inst.points,)
+        singletons = optimal_partition(inst, inst.n + 3).partition.blocks
+        assert singletons == tuple((p,) for p in inst.points)
+        assert speedup_ratio(inst, 1) == 1.0
+        assert circle_ratio(5, 7) == 0.0
+        assert tables == []
+        # between them only the compiled lane searches the whole table
+        optimal_partition(inst, 2)
+        assert tables == ([9] if lane == "compiled" else [])
 
 
 class TestSpeedupRatio:
@@ -327,3 +360,4 @@ class TestSpeedupRatio:
             assert 0.0 <= ratio <= 1.0 + 1e-12
             if k < inst.n:
                 assert ratio > 0.0
+        assert speedup_ratio(Instance([(0, 0), (1, 0)]), 2) == 0.0

@@ -485,7 +485,8 @@ def backend_of(env_value, preload=None, then=""):
     """Run a fresh interpreter with TOURSPLIT_BACKEND set; return its result.
 
     ``preload`` is a compiled module file registered as ``toursplit._core``
-    before the package imports, standing in for an in-place build.  The
+    before the package imports, standing in for an in-place build, or
+    False to make that module unimportable, as on a fresh checkout.  The
     interpreter prints the selected lane, then runs the code in ``then``.
     """
     code = (
@@ -498,6 +499,8 @@ def backend_of(env_value, preload=None, then=""):
         "    mod = importlib.util.module_from_spec(spec)\n"
         "    spec.loader.exec_module(mod)\n"
         "    sys.modules['toursplit._core'] = mod\n"
+        "elif path is False:\n"
+        "    sys.modules['toursplit._core'] = None  # importing it raises ImportError\n"
         "import toursplit\n"
         "print(toursplit.SOLVER_BACKEND)\n"
         + then
@@ -520,6 +523,16 @@ class TestLaneSelection:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "pure"
 
+    def test_automatic_choice_prefers_the_build(self, compiled_core):
+        proc = backend_of("", preload=compiled_core.__file__)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "compiled"
+
+    def test_automatic_choice_falls_back_to_pure(self):
+        proc = backend_of("", preload=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "pure"
+
     def test_unknown_value_rejected(self):
         proc = backend_of("bogus")
         assert proc.returncode != 0
@@ -530,12 +543,14 @@ class TestLaneSelection:
         # importing them took about a fifth of a small CLI job's wall time;
         # json and random are imported by the commands that use them.  A
         # site hook may load a module before the script runs, and then the
-        # package cannot be blamed for it.
+        # package cannot be blamed for it.  The compiled lane never loads
+        # the pure kernels either.
         preload = request.getfixturevalue("compiled_core").__file__ if lane == "compiled" else None
         then = (
             "import toursplit.cli\n"
             "unwanted = {'dataclasses', 'inspect', 'json', 'random'} - preloaded\n"
-            "print(sorted(unwanted & set(sys.modules)))\n"
+            + ("unwanted.add('toursplit._core_py')\n" if lane == "compiled" else "")
+            + "print(sorted(unwanted & set(sys.modules)))\n"
         )
         proc = backend_of(lane, preload=preload, then=then)
         assert proc.returncode == 0, proc.stderr
