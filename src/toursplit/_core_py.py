@@ -45,18 +45,18 @@ is expanded, in the same order: the first strict minimum is the value and
 parent the compiled lane leaves, and a cell with no finite candidate stays
 INF with no parent in both.
 
-The pure subset table skips the candidates that are always INF: a path
-that ends at its mask's anchor exists only in the anchor's singleton, so
-the compiled lane's ``prev == anchor`` candidate from a larger mask reads
-an unset cell.  Each cell starts at INF and an INF candidate never passes
-the strict comparison, so dropping it changes no cell.
-
-``LazySubsetTable`` computes the same table one mask at a time, when the
-partition search first reads it.  Cell (mask, last) reads only cells of
-mask less ``last``, and ``last`` is never the anchor, so a mask's values
-depend only on the masks below it that keep its lowest bit.  Each cell gets
-the bottom-up table's candidates in its order under its strict comparison,
-so every value read is the bottom-up table's to the bit.
+The pure subset table is one ``LazySubsetTable``, which computes a mask's
+row (its path lengths from its lowest point, the anchor, by last point)
+when it is first needed: on a read by the partition search, or in
+``cycle_lengths_by_subset``'s ascending read of every mask.  Cell
+(mask, last) reads only the row of mask less ``last``, which keeps the
+anchor, so no row depends on the order rows are computed in.  Each cell
+gets the compiled lane's candidates, prev rising, under its strict
+comparison from INF, less the ``prev == anchor`` candidate in a mask of
+three or more points: a path ends at the anchor only in its singleton, so
+that candidate is always INF and never passes.  The value then closes the
+paths back to the anchor, last rising, as the compiled lane does, so every
+value is the compiled lane's to the bit, in any read order.
 """
 
 from __future__ import annotations
@@ -277,48 +277,24 @@ def cycle_lengths_by_subset(dist: list[float], n: int) -> list[float]:
     """Optimal tour length for every subset of the points, in one pass.
 
     Returns a list indexed by bitmask; empty and singleton subsets cost 0.
-    The path DP for each mask is anchored at its lowest set bit, which stays
-    fixed as larger masks are built from smaller ones.
+    The masks are read from one ``LazySubsetTable`` in ascending order, so
+    every row's submasks are already computed and no row recurses.
     """
     if n < 1:
         raise ValueError("need at least one point")
     if n > 24:
         raise ValueError("subset table would exceed the kernel's memory budget")
     full = 1 << n
+    half = full >> 1
+    row_of = LazySubsetTable(dist, n)._row
     values = [0.0] * full
-    dp = [INF] * (full * n)
-    cols = [dist[j::n] for j in range(n)]  # cols[last][prev] = dist[prev*n+last]
-    members_of = [()] * full
+    members_of = [()] * half  # no larger mask reads the top half's members
     for mask in range(1, full):
         top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        members = members_of[mask] = members_of[rest] + (top,)
-        if not rest:
-            dp[mask * n + top] = 0.0
-            continue
-        anchor = members[0]
-        tail = members[1:]
-        # the anchor ends a path only in its singleton, so it is a live
-        # predecessor only when the mask has two members
-        prevs = tail if len(tail) > 1 else members
-        base = mask * n
-        back = cols[anchor]
-        best = INF
-        for last in tail:
-            pbase = (mask ^ (1 << last)) * n
-            col = cols[last]
-            cur = INF
-            for prev in prevs:
-                if prev == last:
-                    continue
-                cand = dp[pbase + prev] + col[prev]
-                if cand < cur:
-                    cur = cand
-            dp[base + last] = cur
-            closed = cur + back[last]
-            if closed < best:
-                best = closed
-        values[mask] = best
+        members = members_of[mask ^ (1 << top)] + (top,)
+        if mask < half:
+            members_of[mask] = members
+        values[mask] = row_of(mask, members)[n]
     return values
 
 
@@ -326,44 +302,40 @@ class LazySubsetTable(dict):
     """``cycle_lengths_by_subset(dist, n)`` as a dict that computes a mask's
     value when it is first read.
 
-    A mask's path lengths from its anchor, by last point, are kept as a row,
-    so masks that share submasks share their work.
+    A mask's row, its path lengths by last point and then its value, is
+    kept at the mask's index in a list, so masks that share submasks share
+    their work.
     """
 
     def __init__(self, dist: list[float], n: int) -> None:
         super().__init__()
         self._n = n
         self._cols = [dist[j::n] for j in range(n)]  # cols[last][prev] = dist[prev*n+last]
-        self._rows: dict[int, list[float]] = {}
+        self._rows: list[list[float] | None] = [None] * (1 << n)
 
     def __missing__(self, mask: int) -> float:
         members = [i for i in range(self._n) if mask >> i & 1]
-        best = 0.0
-        if len(members) > 1:
-            row = self._rows.get(mask) or self._row(mask, members)
-            back = self._cols[members[0]]
-            best = INF
-            for last in members[1:]:
-                closed = row[last] + back[last]
-                if closed < best:
-                    best = closed
-        self[mask] = best
+        best = self[mask] = (self._rows[mask] or self._row(mask, members))[-1] if members else 0.0
         return best
 
-    def _row(self, mask: int, members: list[int]) -> list[float]:
-        """Shortest paths from the anchor through ``mask`` by last point, INF
-        where the bottom-up table leaves a cell unset."""
-        row = [INF] * self._n
-        tail = members[1:]
-        if not tail:
-            row[members[0]] = 0.0
+    def _row(self, mask: int, members: list[int] | tuple[int, ...]) -> list[float]:
+        """The shortest paths from the anchor through the nonempty ``mask``,
+        whose points are ``members`` in rising order, by last point (INF
+        where none ends), then the mask's value: the best of them closed
+        back to the anchor, 0 for a singleton."""
+        n = self._n
+        rows, cols = self._rows, self._cols
+        anchor, tail = members[0], members[1:]
+        row = [INF] * (n + 1)
         # the anchor ends a path only in its singleton, so it is a live
         # predecessor only when the mask has two members
+        best = row[anchor] = INF if tail else 0.0
         prevs = tail if len(tail) > 1 else members
+        back = cols[anchor]
         for last in tail:
             sub = mask ^ (1 << last)
-            before = self._rows.get(sub) or self._row(sub, [m for m in members if m != last])
-            col = self._cols[last]
+            before = rows[sub] or self._row(sub, [m for m in members if m != last])
+            col = cols[last]
             cur = INF
             for prev in prevs:
                 if prev == last:
@@ -372,7 +344,11 @@ class LazySubsetTable(dict):
                 if cand < cur:
                     cur = cand
             row[last] = cur
-        self._rows[mask] = row
+            closed = cur + back[last]
+            if closed < best:
+                best = closed
+        row[n] = best
+        rows[mask] = row
         return row
 
 

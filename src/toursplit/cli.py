@@ -243,6 +243,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         doc = json.loads(_read_text(args.result))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.result}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{args.result}: JSON nested too deeply to read") from None
     try:
         svg = render_svg(doc)
     except ValueError as exc:

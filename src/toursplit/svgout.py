@@ -8,6 +8,7 @@ self-contained SVG file with no external assets.
 from __future__ import annotations
 
 import math
+import sys
 
 from .geometry import _unit_scale
 
@@ -30,7 +31,8 @@ def _coerce_xy(value) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in value)
+        # a bound, not math.isfinite, which overflows on an int past the float range
+        or not all(isinstance(c, (int, float)) and abs(c) <= sys.float_info.max for c in value)
     ):
         raise ValueError(f"expected an [x, y] pair of finite numbers, got {value!r}")
     return float(value[0]), float(value[1])

@@ -143,6 +143,12 @@ def naive_cycle_lengths_by_subset(dist: list[float], n: int) -> list[float]:
     return values
 
 
+def computed_rows(table) -> int:
+    """How many rows a ``LazySubsetTable`` has computed: its row list holds
+    one slot per mask, None until that mask's row is computed."""
+    return len(table._rows) - table._rows.count(None)
+
+
 def brute_force_tour_length(points) -> float:
     """Optimal tour length by enumerating all permutations (n <= 8)."""
     pts = list(points)

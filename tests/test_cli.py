@@ -555,6 +555,12 @@ class TestPlot:
         bad.write_text("{not json")
         assert main(["plot", str(bad), "--svg", str(tmp_path / "o.svg")]) == 2
 
+    def test_too_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["plot", str(path), "--svg", str(tmp_path / "o.svg")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
     def test_binary_file_exit_2_names_it(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -569,6 +575,7 @@ class TestPlot:
             "[[NaN, 0], [1, 1]]",
             "[[0, Infinity], [1, 1]]",
             "[[1e308, 0], [-1e308, 0]]",  # the span overflows
+            pytest.param(f"[[{'9' * 400}, 0], [1, 1]]", id="int-past-the-float-range"),
         ],
     )
     def test_unplottable_coordinates_exit_2_name_the_file(self, tmp_path, capsys, tour):

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     brute_force_partition_value,
     brute_force_tour_length,
+    computed_rows,
     random_instance,
     random_points,
     tour_self_intersects,
@@ -270,7 +271,7 @@ class TestLazyPartitionWork:
                 result = optimal_partition(inst, k)
                 table = made.pop()
                 assert not made
-                rows.append(len(table._rows))
+                rows.append(computed_rows(table))
                 assert rows[-1] < (1 << 13) // 2, k
                 assert result == table_partition(inst, full, k)
         assert sorted(rows)[len(rows) // 2] < (1 << 13) // 4, rows

@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     brute_force_partition_value,
     brute_force_tour_length,
+    computed_rows,
     naive_cycle_lengths_by_subset,
     naive_shortest_cycle,
     random_points,
@@ -209,10 +210,16 @@ class TestPureLane:
         cases += [circle_points(n).points for n in (3, 4, 6, 8, 12, 13)]
         cases += [grid(3, 4), grid(2, 6), overflowing_points(rng, 6)]
         for pts in cases:
+            n = len(pts)
             dist = flat_distances(pts)
-            table = _core_py.cycle_lengths_by_subset(dist, len(pts))
-            assert table == naive_cycle_lengths_by_subset(dist, len(pts))
-        assert table[-1] == math.inf
+            naive = naive_cycle_lengths_by_subset(dist, n)
+            assert _core_py.cycle_lengths_by_subset(dist, n) == naive
+            # read out of order, rows recurse into submasks not yet computed
+            masks = list(range(1 << n))
+            rng.shuffle(masks)
+            lazy = _core_py.LazySubsetTable(dist, n)
+            assert [lazy[m] for m in masks] == [naive[m] for m in masks], pts
+        assert naive[-1] == lazy[(1 << n) - 1] == math.inf
 
     def test_rejects_bad_sizes(self):
         assert_rejects_bad_sizes(_core_py)
@@ -276,7 +283,7 @@ class TestLazyPartition:
         for pts in partition_inputs():
             n = len(pts)
             dist = flat_distances(pts)
-            full = _core_py.cycle_lengths_by_subset(dist, n)
+            full = naive_cycle_lengths_by_subset(dist, n)
             for k in range(1, n + 2):
                 result, table = seeded_lazy_search(dist, n, k)
                 assert result == _core_py.min_max_partition(full, n, k), (pts, k)
@@ -313,7 +320,7 @@ class TestLazyPartition:
         for scale in (2.0**1010, 2.0**-1030, 1e-320):
             pts = random_points(rng, 9, scale=scale)
             dist = flat_distances(pts)
-            full = _core_py.cycle_lengths_by_subset(dist, 9)
+            full = naive_cycle_lengths_by_subset(dist, 9)
             order = _core_py.shortest_cycle(dist, 9)[1]
             for k in range(1, 11):
                 assert _core_py.partition_limit(dist, 9, order, k) == math.inf
@@ -324,19 +331,19 @@ class TestLazyPartition:
         # A seeded hill climb towards the inputs whose lazy search computes
         # the most rows.  It finds a cluster with far outliers, where k = 2
         # computes most of the table (97% on one 13-point set).  Every input
-        # it tries must give the whole table's result, and the worst one the
-        # result over an independently written table.
+        # it tries must give the result over an independently written table
+        # at k = 2 and 3, and the worst one at every k.
         rng = random.Random(119)
         n = 12
 
         def rows(pts):
             dist = flat_distances(pts)
-            full = _core_py.cycle_lengths_by_subset(dist, n)
+            full = naive_cycle_lengths_by_subset(dist, n)
             most = 0
             for k in (2, 3):
                 result, table = seeded_lazy_search(dist, n, k)
                 assert result == _core_py.min_max_partition(full, n, k), (pts, k)
-                most = max(most, len(table._rows))
+                most = max(most, computed_rows(table))
             return most
 
         pts = random_points(rng, n)
@@ -364,7 +371,7 @@ class TestLazyPartition:
 
     def test_a_limit_at_the_minimum_finds_nothing(self):
         dist = flat_distances(random_points(random.Random(116), 6))
-        full = _core_py.cycle_lengths_by_subset(dist, 6)
+        full = naive_cycle_lengths_by_subset(dist, 6)
         value, labels = _core_py.min_max_partition(full, 6, 3)
         assert _core_py.min_max_partition(full, 6, 3, math.nextafter(value, math.inf)) == (
             value, labels
