@@ -12,9 +12,10 @@ All randomness flows through the single --seed flag.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .circle import (
     VerificationError,
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
+
+_GEN_CHUNK = 4096  # points that gen formats and writes at a time
 
 
 class InputError(Exception):
@@ -87,15 +90,23 @@ def _solving(path: str) -> Iterator[None]:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
+def _write_chunks(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+        except BrokenPipeError:  # the reader stopped early, as `gen | head` does
+            # so that the exit's flush of what stdout still buffers raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def _write_text(text: str, out: Optional[str]) -> None:
+    _write_chunks((text,), out)
 
 
 def _bounding_box(points: Sequence[Point]) -> list[float]:
@@ -231,8 +242,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     import random
 
     rng = random.Random(args.seed)
-    points = [Point(rng.random(), rng.random()) for _ in range(args.n)]
-    _write_text(format_instance(points), args.out)
+    # a chunk of points at a time, so memory stays flat in -n
+    sizes = (min(_GEN_CHUNK, args.n - start) for start in range(0, args.n, _GEN_CHUNK))
+    chunks = (
+        format_instance([Point(rng.random(), rng.random()) for _ in range(size)])
+        for size in sizes
+    )
+    _write_chunks(chunks, args.out)
     return EXIT_OK
 
 

@@ -174,20 +174,15 @@ def _ratio(best: SolveResult, whole: float) -> float:
     return best.value / whole
 
 
-def _exact_partition(
-    instance: Instance,
-    k: int,
-    subset_values: Callable[[Instance], list[float]] = tour_values_by_subset,
-) -> tuple[float, SolveResult]:
+def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
     """OPT_1 and the optimal partition into at most ``k`` blocks.
 
     The one dispatch of every exact partition.  One block (k = 1) and
     singletons (k >= n, the only partition of value 0) need no search: both
     lanes take them, and OPT_1, from the tour DP.  For 1 < k < n the compiled
-    lane reads both from the whole subset table, ``subset_values(instance)``
-    (a caller that already holds it passes a function that returns it),
-    whose last entry is the tour DP's float: the table anchors the whole set
-    at point 0 and gives each cell the tour DP's sums.  The pure lane
+    lane reads both from the whole subset table, whose last entry is the
+    tour DP's float: the table anchors the whole set at point 0 and gives
+    each cell the tour DP's sums.  The pure lane
     searches a ``LazySubsetTable`` from a limit just above a cut of the
     optimal tour, so it computes only the subset values the search reads.
     """
@@ -196,7 +191,7 @@ def _exact_partition(
     n = instance.n
     k = min(k, n)
     if 1 < k < n and kernels.BACKEND == "compiled":
-        values = subset_values(instance)
+        values = tour_values_by_subset(instance)
         _, labels = kernels.min_max_partition(values, n, k)
         return values[-1], _blocks_solved(instance, labels)
     dist, (whole, order) = _solved(instance, kernels.shortest_cycle, 0)

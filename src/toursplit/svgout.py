@@ -25,22 +25,35 @@ PALETTE = (
 
 _CANVAS = 640.0
 _MARGIN_FRAC = 0.06
+_QUOTED = 80  # characters of an offending value that an error quotes
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, clipped to ``_QUOTED`` characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
 
 
 def _coerce_xy(value) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        # a bound, not math.isfinite, which overflows on an int past the float range
-        or not all(isinstance(c, (int, float)) and abs(c) <= sys.float_info.max for c in value)
+        or not all(
+            # JSON true and false are ints to isinstance, but not numbers
+            isinstance(c, (int, float))
+            and not isinstance(c, bool)
+            # a bound, not math.isfinite, which overflows on an int past the float range
+            and abs(c) <= sys.float_info.max
+            for c in value
+        )
     ):
-        raise ValueError(f"expected an [x, y] pair of finite numbers, got {value!r}")
+        raise ValueError(f"expected an [x, y] pair of finite numbers, got {_quoted(value)}")
     return float(value[0]), float(value[1])
 
 
 def _as_list(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list of [x, y] pairs, got {value!r}")
+        raise ValueError(f"{what} must be a list of [x, y] pairs, got {_quoted(value)}")
     return value
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from toursplit import (
     circle_ratio,
     optimal_tour,
     speedup_ratio,
+    tour_values_by_subset,
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
@@ -120,6 +122,35 @@ class TestArcOptimality:
         values = circle._subset_values(7)
         assert all(values[1 << i] == 0.0 for i in range(7))
 
+    def test_every_minimum_is_an_arc(self):
+        for n in range(2, 15):
+            for m in range(1, n + 1):
+                report = verify_arc_optimality(n, m)
+                assert report.subsets_checked == math.comb(n, m), (n, m)
+                members = set(report.min_subset)
+                assert len(members) == m
+                boundaries = sum(1 for i in members if (i % n) + 1 not in members)
+                assert boundaries == (1 if m < n else 0), (n, m, report.min_subset)
+
+
+    def test_ties_name_the_first_mask(self, monkeypatch):
+        # with every subset tied, the first mask in ascending order is named
+        monkeypatch.setattr(circle, "_subset_values", lambda n: [1.0] * (1 << n))
+        report = verify_arc_optimality(6, 3)
+        assert report.min_subset == (1, 2, 3) and report.subsets_checked == 20
+
+
+class TestPerimeterTable:
+    def test_matches_the_held_karp_table(self):
+        # the perimeters rest on the convex-position argument; the tour DP
+        # checks them on every subset
+        for n in range(2, 17):
+            perimeters = circle._subset_values(n)
+            exact = tour_values_by_subset(circle_points(n))
+            assert len(perimeters) == len(exact) == 1 << n
+            for mask, (p, e) in enumerate(zip(perimeters, exact)):
+                assert math.isclose(p, e, rel_tol=1e-12, abs_tol=0.0), (n, mask, p, e)
+
 
 class TestGapFillStep:
     def test_exhaustive_monotonicity_small(self):
@@ -207,4 +238,24 @@ class TestVerificationFailureSignal:
         with pytest.raises(
             VerificationError, match=r"subset \(1, 3, 5, 7\) of the 8-circle beats the 4-arc"
         ):
+            verify_arc_optimality(8, 4)
+
+    def test_every_subset_is_read(self, monkeypatch):
+        # lowering any one 3-subset of the 7-circle below the arc trips the check
+        for mask in range(1 << 7):
+            if mask.bit_count() != 3 or mask == 0b111:
+                continue
+            values = [1.0] * (1 << 7)
+            values[mask] = 0.0
+            monkeypatch.setattr(circle, "_subset_values", lambda n: values)
+            members = tuple(i + 1 for i in range(7) if mask >> i & 1)
+            with pytest.raises(VerificationError, match=re.escape(f"subset {members} ")):
+                verify_arc_optimality(7, 3)
+
+    def test_raised_arc_trips(self, monkeypatch):
+        # the leading arc costs more than its rotations
+        values = list(circle._subset_values(8))
+        values[0b1111] += 1.0
+        monkeypatch.setattr(circle, "_subset_values", lambda n: values)
+        with pytest.raises(VerificationError, match=r"of the 8-circle beats the 4-arc"):
             verify_arc_optimality(8, 4)

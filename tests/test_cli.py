@@ -3,12 +3,12 @@
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ import toursplit.circle
 from helpers import plan_depth, use_lane
 from toursplit.cli import main, parse_instance_text, format_instance, InputError
 from toursplit import MAX_SPLIT_K, ChordSearchError, Point, VerificationError, kernels, split_plan
-from toursplit import _core_py
+from toursplit import _core_py, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -40,6 +40,11 @@ def circle_file(tmp_path, n):
         for i in range(1, n + 1)
     )
     return write(tmp_path, f"circle{n}.txt", lines)
+
+
+def src_env() -> dict:
+    """The environment of a subprocess that imports the package from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
 def run(capsys, argv):
@@ -251,10 +256,9 @@ class TestSplitCap:
     """k is capped, so a huge k exits 3 at once instead of building its plan."""
 
     def run_cli(self, *argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
             [sys.executable, "-m", "toursplit.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=src_env(),
         )
 
     @pytest.mark.parametrize("k", ["99999999999999999999", str(MAX_SPLIT_K + 1)])
@@ -402,8 +406,8 @@ class TestCircleCommand:
 
 class TestOneTablePerJob:
     """An oracle job runs one whole-set DP, the table or the tour, for its
-    answer and reads OPT_1 from it; the circle checks read the circle's
-    table, which the compiled lane's ratio search shares."""
+    answer and reads OPT_1 from it; the circle checks read polygon
+    perimeters and run no DP."""
 
     @staticmethod
     def kernel_calls(monkeypatch) -> list:
@@ -423,27 +427,17 @@ class TestOneTablePerJob:
         tours = [m for name, m in calls if name == "shortest_cycle" and m == n]
         return tables, tours
 
-    @staticmethod
-    def cold_circle_tables(monkeypatch) -> None:
-        """A fresh cache, so a job builds the circle's table as from a cold
-        start: a warm one would hide a table the job reads."""
-        cold = lru_cache(maxsize=None)(toursplit.circle._subset_values.__wrapped__)
-        monkeypatch.setattr(toursplit.circle, "_subset_values", cold)
-
     def test_circle_verify(self, capsys, monkeypatch):
-        self.cold_circle_tables(monkeypatch)
         calls = self.kernel_calls(monkeypatch)
         code, out = run(capsys, ["circle", "-n", "12", "-k", "5", "--verify"])
         assert code == 0 and "gap_fill_monotonicity n=12: pass" in out
-        # the ratio is speedup_ratio's, and every check reads the one table
+        # the ratio is speedup_ratio's, and the checks add no DP to it
         if kernels.BACKEND == "compiled":
-            # the compiled search reads the checks' table
             assert self.whole_set_dps(calls, 12) == ([12], [])
         else:
-            assert self.whole_set_dps(calls, 12) == ([12], [12])
+            assert self.whole_set_dps(calls, 12) == ([], [12])
 
     def test_circle_builds_no_table_without_verify(self, capsys, monkeypatch):
-        self.cold_circle_tables(monkeypatch)
         calls = self.kernel_calls(monkeypatch)
         code, out = run(capsys, ["circle", "-n", "12", "-k", "5"])
         assert code == 0 and "gamma_circle" in out
@@ -514,6 +508,43 @@ class TestGen:
     def test_unwritable_output_exit_2(self, capsys):
         assert main(["gen", "-n", "3", "--out", "/nonexistent/dir/x.txt"]) == 2
 
+    @pytest.mark.parametrize("n", [1, cli._GEN_CHUNK - 1, cli._GEN_CHUNK, 2 * cli._GEN_CHUNK + 1])
+    def test_chunks_make_the_whole_text(self, capsys, n):
+        # the bytes of all n points formatted at once
+        for seed in (0, 42):
+            rng = random.Random(seed)
+            expected = format_instance([Point(rng.random(), rng.random()) for _ in range(n)])
+            assert run(capsys, ["gen", "-n", str(n), "--seed", str(seed)]) == (0, expected)
+
+    def test_peak_memory_is_flat_in_n(self):
+        # each run reports its own peak RSS; a million points once took 281 MB
+        report = (
+            "import resource, sys; from toursplit.cli import main; main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+
+        def peak(n):
+            proc = subprocess.run(
+                [sys.executable, "-c", report, "gen", "-n", str(n), "--out", os.devnull],
+                capture_output=True, text=True, timeout=120, env=src_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert peak(10**6) < 1.25 * peak(1000)
+
+    def test_a_reader_that_stops_early_gets_no_traceback(self):
+        # as `gen -n 1000000 | head -1` reads: one line, then the pipe closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toursplit.cli", "gen", "-n", "200000", "--seed", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+        )
+        assert len(proc.stdout.readline().split()) == 2
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
 
 class TestPlot:
     def _split_doc(self, tmp_path, capsys, k):
@@ -576,6 +607,8 @@ class TestPlot:
             "[[0, Infinity], [1, 1]]",
             "[[1e308, 0], [-1e308, 0]]",  # the span overflows
             pytest.param(f"[[{'9' * 400}, 0], [1, 1]]", id="int-past-the-float-range"),
+            "[[true, 0], [1, 1], [0, 1]]",  # JSON booleans are not numbers
+            "[[0, 0], [1, false], [0, 1]]",
         ],
     )
     def test_unplottable_coordinates_exit_2_name_the_file(self, tmp_path, capsys, tour):
@@ -585,6 +618,22 @@ class TestPlot:
         assert main(["plot", str(path), "--svg", str(svg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "tour",
+        [
+            pytest.param(f"[[{'9' * 400}, 0], [1, 1]]", id="400-digit-int"),
+            pytest.param(f'"{"x" * 400}"', id="400-character-string"),
+            pytest.param(f"[[{', '.join(['1'] * 400)}]]", id="400-number-vertex"),
+        ],
+    )
+    def test_error_quotes_a_clipped_value(self, tmp_path, capsys, tour):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"blocks": [{{"tour": {tour}}}]}}')
+        assert main(["plot", str(path), "--svg", str(tmp_path / "o.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.endswith("...\n")
+        assert len(err) < len(f"error: {path}: ") + 150
 
     @pytest.mark.parametrize(
         "document, what",

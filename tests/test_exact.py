@@ -2,7 +2,6 @@
 
 import math
 import random
-from functools import lru_cache
 
 import pytest
 
@@ -24,7 +23,6 @@ from toursplit import (
     speedup_ratio,
     tour_values_by_subset,
 )
-import toursplit.circle
 from toursplit import _core_py, circle_ratio, kernels
 from toursplit.exact import _blocks_solved
 
@@ -305,9 +303,6 @@ class TestOneDispatch:
         monkeypatch.setattr(
             kernels, "cycle_lengths_by_subset", lambda d, n: tables.append(n) or build(d, n)
         )
-        # a cold circle cache, so a table the ratio reads is built and counted
-        cold = lru_cache(maxsize=None)(toursplit.circle._subset_values.__wrapped__)
-        monkeypatch.setattr(toursplit.circle, "_subset_values", cold)
         inst = random_instance(random.Random(119), 9)
         assert optimal_partition(inst, 1).partition.blocks == (inst.points,)
         singletons = optimal_partition(inst, inst.n + 3).partition.blocks
