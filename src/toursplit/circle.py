@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .exact import Instance, _capped, _exact_partition, _ratio
+from .exact import Instance, _capped, speedup_ratio
 from .geometry import Point
 
 # How far a subset may beat its arc, or a gap fill raise a tour value,
@@ -190,8 +190,8 @@ def verify_gap_fill_monotonicity(n: int) -> int:
 def circle_ratio(n: int, k: int) -> float:
     """k-way speedup ratio of the regular n-point circle.
 
-    Uses the balanced-arc closed form when k divides n, otherwise the
-    exhaustive partition oracle, capped before any point is built.
+    Uses the balanced-arc closed form when k divides n, otherwise
+    ``speedup_ratio`` of the circle points, capped before any is built.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -199,5 +199,4 @@ def circle_ratio(n: int, k: int) -> float:
         raise ValueError(f"need at least 2 circle points, got {n}")
     if n % k == 0:
         return arc_tour_length(n, n // k) / arc_tour_length(n, n)
-    whole, best = _exact_partition(circle_points(_capped(n)), k)
-    return _ratio(best, whole)
+    return speedup_ratio(circle_points(_capped(n)), k)

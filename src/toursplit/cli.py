@@ -24,8 +24,8 @@ from .circle import (
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
-from .exact import CapacityError, Instance, _exact_partition, optimal_tour
-from .geometry import ClosedTour, Point
+from .exact import CapacityError, Instance, SolveResult, _exact_partition, optimal_tour
+from .geometry import Point
 from .splitting import ChordSearchError, bounds_table, guaranteed_partition, split_plan
 from .svgout import render_svg
 
@@ -109,106 +109,70 @@ def _write_text(text: str, out: Optional[str]) -> None:
     _write_chunks((text,), out)
 
 
-def _bounding_box(points: Sequence[Point]) -> list[float]:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return [min(xs), min(ys), max(xs), max(ys)]
-
-
-def _tour_coords(tour: ClosedTour) -> list[list[float]]:
-    return [[v.x, v.y] for v in tour.vertices]
-
-
-def _result_document(
-    command: str,
-    path: str,
+def _emit_result(
+    args: argparse.Namespace,
     instance: Instance,
-    blocks: Sequence[Sequence[Point]],
-    tours: Sequence[ClosedTour],
-    value: float,
-    optimal_length: Optional[float],
-    guarantee: Optional[float],
-    diagonals: Sequence = (),
-    extra: Optional[dict] = None,
-) -> dict:
+    result: SolveResult,
+    optimal_length: float,
+    guarantee: Optional[float] = None,
+) -> int:
+    """Write the result document of ``tsp`` or ``split``.
+
+    A ``tsp`` document is the one-block exact split's, without the keys
+    ``split`` appends: ``k``, ``strategy`` and ``bound``, which is the
+    guarantee times ``optimal_length`` when there is one.
+    """
+    import json  # only the commands that write documents pay for it
+
+    xs = [p.x for p in instance.points]
+    ys = [p.y for p in instance.points]
     doc = {
-        "command": command,
-        "input": path,
-        "instance": {"n": instance.n, "bounding_box": _bounding_box(instance.points)},
-        "value": value,
+        "command": args.command,
+        "input": args.input,
+        "instance": {"n": instance.n, "bounding_box": [min(xs), min(ys), max(xs), max(ys)]},
+        "value": result.value,
         "optimal_length": optimal_length,
-        "ratio": (value / optimal_length) if optimal_length else None,
+        "ratio": (result.value / optimal_length) if optimal_length else None,
         "guarantee": guarantee,
         "blocks": [
             {
                 "points": [[p.x, p.y] for p in block],
-                "tour": _tour_coords(tour),
+                "tour": [[v.x, v.y] for v in tour.vertices],
                 "length": tour.length,
             }
-            for block, tour in zip(blocks, tours)
+            for block, tour in zip(result.partition.blocks, result.tours)
         ],
         "diagonals": [
-            [[d.p.x, d.p.y], [d.q.x, d.q.y]] for d in diagonals
+            [[d.p.x, d.p.y], [d.q.x, d.q.y]] for d in result.diagonals
         ],
     }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _emit_document(doc: dict, out: Optional[str]) -> None:
-    import json  # only the commands that write documents pay for it
-
-    _write_text(json.dumps(doc, indent=2) + "\n", out)
+    if args.command == "split":
+        bound = None if guarantee is None else guarantee * optimal_length
+        doc.update(k=args.k, strategy=args.strategy, bound=bound)
+    _write_text(json.dumps(doc, indent=2) + "\n", args.out)
+    return EXIT_OK
 
 
 def cmd_tsp(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     with _solving(args.input):
-        tour = optimal_tour(instance)
-    doc = _result_document(
-        command="tsp",
-        path=args.input,
-        instance=instance,
-        blocks=[instance.points],
-        tours=[tour],
-        value=tour.length,
-        optimal_length=tour.length,
-        guarantee=None,
-    )
-    _emit_document(doc, args.out)
-    return EXIT_OK
+        optimal_length, result = _exact_partition(instance, 1)
+    return _emit_result(args, instance, result, optimal_length)
 
 
 def cmd_split(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
+    guarantee = None
     if args.strategy == "guaranteed":
-        plan = split_plan(args.k)  # the -k cap, an argument error
-        with _solving(args.input):
-            tour = optimal_tour(instance)
-            result = guaranteed_partition(instance, tour, args.k)
-        extra = {"k": args.k, "strategy": "guaranteed", "bound": plan.ratio * tour.length}
-        guarantee = plan.ratio
-        optimal_length = tour.length
-    else:
-        with _solving(args.input):
+        guarantee = split_plan(args.k).ratio  # the -k cap, an argument error
+    with _solving(args.input):
+        if guarantee is None:
             optimal_length, result = _exact_partition(instance, args.k)
-        extra = {"k": args.k, "strategy": "exact", "bound": None}
-        guarantee = None
-    doc = _result_document(
-        command="split",
-        path=args.input,
-        instance=instance,
-        blocks=result.partition.blocks,
-        tours=result.tours,
-        value=result.value,
-        optimal_length=optimal_length,
-        guarantee=guarantee,
-        diagonals=result.diagonals,
-        extra=extra,
-    )
-    _emit_document(doc, args.out)
-    return EXIT_OK
+        else:
+            tour = optimal_tour(instance)
+            optimal_length = tour.length
+            result = guaranteed_partition(instance, tour, args.k)
+    return _emit_result(args, instance, result, optimal_length, guarantee)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -144,8 +144,7 @@ def optimal_tour(instance: Instance) -> ClosedTour:
     Degenerate sizes are honored: a single point yields a zero-length tour
     and two points an out-and-back tour of twice their distance.
     """
-    _, (_, order) = _solved(instance, kernels.shortest_cycle, 0)
-    return ClosedTour(tuple(instance.points[i] for i in order))
+    return _exact_partition(instance, 1)[1].tours[0]
 
 
 def tour_values_by_subset(instance: Instance) -> list[float]:
@@ -168,21 +167,15 @@ def _blocks_solved(instance: Instance, labels: list[int]) -> SolveResult:
     )
 
 
-def _ratio(best: SolveResult, whole: float) -> float:
-    if whole == 0.0:
-        raise ValueError("ratio undefined: optimal tour has zero length")
-    return best.value / whole
-
-
 def _exact_partition(instance: Instance, k: int) -> tuple[float, SolveResult]:
     """OPT_1 and the optimal partition into at most ``k`` blocks.
 
-    The one dispatch of every exact partition.  One block (k = 1) and
-    singletons (k >= n, the only partition of value 0) need no search: both
-    lanes take them, and OPT_1, from the tour DP.  For 1 < k < n the compiled
-    lane reads both from the whole subset table, whose last entry is the
-    tour DP's float: the table anchors the whole set at point 0 and gives
-    each cell the tour DP's sums.  The pure lane
+    The one dispatch of every exact answer, ``optimal_tour``'s included.
+    One block (k = 1) and singletons (k >= n, the only partition of value
+    0) need no search: both lanes take them, and OPT_1, from the tour DP.
+    For 1 < k < n the compiled lane reads both from the whole subset table,
+    whose last entry is the tour DP's float: the table anchors the whole
+    set at point 0 and gives each cell the tour DP's sums.  The pure lane
     searches a ``LazySubsetTable`` from a limit just above a cut of the
     optimal tour, so it computes only the subset values the search reads.
     """
@@ -219,4 +212,6 @@ def optimal_partition(instance: Instance, k: int) -> SolveResult:
 def speedup_ratio(instance: Instance, k: int) -> float:
     """Best-possible k-way time over the single-tour optimum, in [0, 1]; 0 once k >= n."""
     whole, best = _exact_partition(instance, k)
-    return _ratio(best, whole)
+    if whole == 0.0:
+        raise ValueError("ratio undefined: optimal tour has zero length")
+    return best.value / whole

@@ -6,7 +6,12 @@ import re
 
 import pytest
 
-from helpers import brute_force_tour_length, gap_fill_move_count, naive_gap_fill_failure
+from helpers import (
+    brute_force_tour_length,
+    gap_fill_move_count,
+    naive_gap_fill_failure,
+    use_lane,
+)
 from toursplit import (
     Instance,
     VerificationError,
@@ -20,7 +25,7 @@ from toursplit import (
     verify_arc_optimality,
     verify_gap_fill_monotonicity,
 )
-from toursplit import circle
+from toursplit import _core_py, circle, kernels
 
 
 class TestCirclePoints:
@@ -203,10 +208,15 @@ class TestCircleRatio:
     def test_k1_is_exactly_one(self):
         assert circle_ratio(8, 1) == 1.0
 
-    def test_indivisible_uses_the_oracle(self):
-        assert circle_ratio(7, 2) == pytest.approx(
-            speedup_ratio(circle_points(7), 2), abs=1e-12
-        )
+    def test_indivisible_uses_the_oracle(self, monkeypatch, compiled_core):
+        # past the closed form, circle_ratio is speedup_ratio of the points
+        for impl in (compiled_core, _core_py):
+            use_lane(monkeypatch, impl)
+            for n in range(2, 13):
+                for k in range(2, n + 2):
+                    if n % k:
+                        oracle = speedup_ratio(circle_points(n), k)
+                        assert circle_ratio(n, k).hex() == oracle.hex(), (kernels.BACKEND, n, k)
         # more salespeople than points: each point tours alone
         assert circle_ratio(2, 3) == 0.0
 

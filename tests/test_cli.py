@@ -159,6 +159,31 @@ class TestSplit:
         assert split_doc["value"] == tsp_doc["value"]
         assert split_doc["blocks"] == tsp_doc["blocks"]
 
+    def test_tsp_is_the_one_block_exact_split(self, tmp_path, capsys, monkeypatch,
+                                              compiled_core):
+        # every key but the ones split appends, on both lanes
+        rng = random.Random(28)
+        texts = {
+            "one": "0.5 0.25\n",
+            "two": "0 0\n3 4\n",
+            "line": "".join(f"{x} 0\n" for x in range(12)),
+        }
+        for n in (10, 18):
+            texts[f"u{n}"] = format_instance([Point(rng.random(), rng.random()) for _ in range(n)])
+        for impl in (compiled_core, _core_py):
+            use_lane(monkeypatch, impl)
+            for name, text in texts.items():
+                path = write(tmp_path, f"{name}.txt", text)
+                tsp_code, tsp_out = run(capsys, ["tsp", path])
+                argv = ["split", path, "-k", "1", "--strategy", "exact"]
+                split_code, split_out = run(capsys, argv)
+                assert tsp_code == split_code == 0
+                tsp_doc, split_doc = json.loads(tsp_out), json.loads(split_out)
+                assert tsp_doc.pop("command") == "tsp"
+                split_keys = [split_doc.pop(key) for key in ("command", "k", "strategy", "bound")]
+                assert split_keys == ["split", 1, "exact", None]
+                assert list(tsp_doc.items()) == list(split_doc.items()), (kernels.BACKEND, name)
+
     def test_lengths_recomputable(self, tmp_path, capsys):
         _, out = run(capsys, ["split", circle_file(tmp_path, 10), "-k", "3"])
         doc = json.loads(out)

@@ -574,6 +574,16 @@ class TestBoundsTable:
         assert round(rows[8].lower, 3) == 0.247
         assert round(rows[8].upper, 3) == 0.548
 
+    def test_equal_arcs_bound_the_ratio_by_2_over_k(self):
+        # Cutting the optimal tour into k equal arcs, each closed by its
+        # chord, makes every loop at most 2L/k, so OPT_k <= (2/k) OPT_1.
+        # The circle's lower bound stays under 2/k, and from k = 3 on the
+        # printed upper bound g(k), the plan's, lies above it.
+        for row in bounds_table(MAX_SPLIT_K):
+            assert row.lower <= 2.0 / row.k, row.k
+            if row.k >= 3:
+                assert row.upper > 2.0 / row.k, row.k
+
 
 class TestGuaranteedPartition:
     def test_k1_returns_the_tour(self):
